@@ -12,7 +12,7 @@ Exit codes partition the outcomes:
     2  Riccati breakdown (input-weight term not positive definite)
     3  not mean-square stabilizable (divergence or exhausted budget)
     4  assumption violation (input weights not PD / not exactly observable)
-    5  verification failure or diverged simulation
+    5  verification failure, diverged simulation or numerical overflow
     6  enumeration larger than the cap
 """
 
@@ -151,7 +151,7 @@ def cmd_solve_finite(args) -> int:
         "state_dim": model.state_dim,
         "input_dim": model.input_dim,
         "gains": [[g.tolist() for g in stage] for stage in sol.K],
-        "upsilon_min_eigenvalues": sol.upsilon_min_eig,
+        "upsilon_min_eigenvalues": [e.tolist() for e in sol.upsilon_min_eig],
     }, out / "gains.json")
     print(f"solvable over {N + 1} stages; optimal cost {cost!r}")
     return 0
@@ -160,8 +160,7 @@ def cmd_solve_finite(args) -> int:
 def cmd_solve_care(args) -> int:
     model = _load_valid_model(args)
     # The Riccati criterion for stabilizability needs both assumptions.
-    from .riccati import _check_input_weights_pd
-    _check_input_weights_pd(model)
+    model.require_pd_input_weights()
     if not is_exactly_observable(model):
         raise PreconditionFailed(
             "the state weights are not exactly observable")
@@ -175,12 +174,11 @@ def cmd_solve_care(args) -> int:
         "residual": sol.residual,
         "P": [mat.tolist() for mat in sol.P],
         "gains": [g.tolist() for g in sol.K],
-        "P_min_eigenvalues": sol.p_min_eig,
+        "P_min_eigenvalues": sol.p_min_eig.tolist(),
         "closed_loop_spectral_radius": radius,
         "closed_loop_mean_square_stable": stable,
-        "optimal_cost": float(sum(
-            model.initial_distribution[i] * model.x0 @ sol.P[i] @ model.x0
-            for i in range(model.mode_count))),
+        "optimal_cost": float(
+            model.initial_distribution @ (sol.P @ model.x0 @ model.x0)),
     }, out / "care.json")
     print(f"converged in {sol.iterations} iterations; "
           f"residual {sol.residual!r}; closed-loop radius {radius!r}")
@@ -203,8 +201,7 @@ def cmd_check(args) -> int:
     write_moment_csv(propagate_second_moment(model, None, steps),
                      out / "second_moments_open_loop.csv")
     try:
-        from .riccati import _check_input_weights_pd
-        _check_input_weights_pd(model)
+        model.require_pd_input_weights()
         if not report["exactly_observable"]:
             raise PreconditionFailed(
                 "not exactly observable: the Riccati stabilizability "

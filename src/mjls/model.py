@@ -9,6 +9,10 @@ with stage cost x'Q[i]x + u'R[i]u.  The chain moves from mode i to mode j
 with probability transition[i, j] (rows index the current mode), starts from
 ``initial_distribution`` and the state starts from ``x0``.
 
+Per-mode data are read-only stacked arrays, ``A`` (L, n, n), ``B``
+(L, n, m), ``Q`` (L, n, n) and ``R`` (L, m, m), so solvers treat all modes
+at once; only the optional output factors ``C`` stay a per-mode list.
+
 Everything downstream (Riccati recursions, stability tests, simulation,
 brute-force verification) consumes a validated model.  Validation never
 raises; it returns a report listing each invariant with its measured
@@ -22,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, NotPsd
+from .errors import InvalidInput, NotPsd, NumericalFailure, \
+    PreconditionFailed
 
 __all__ = [
     "MjlsModel",
@@ -36,11 +41,13 @@ __all__ = [
     "save_model",
 ]
 
-# Tolerances used by validation; see ValidationReport for how they are applied.
+# Tolerances used by validation (see ValidationReport) and, for PD_TOL, by
+# every positive definiteness test (see pd_floor).
 ROW_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 FACTOR_TOL = 1e-10
+PD_TOL = 1e-10
 
 
 def _as_matrix(value, name):
@@ -48,6 +55,18 @@ def _as_matrix(value, name):
     if arr.ndim != 2:
         raise InvalidInput(f"{name} must be a matrix, got ndim={arr.ndim}")
     return arr
+
+
+def _as_stack(seq, name):
+    """Per-mode matrices as one (L, rows, cols) array; shapes must agree."""
+    if isinstance(seq, np.ndarray) and seq.ndim == 3:
+        return seq.astype(float)
+    mats = [_as_matrix(mat, f"{name}[{i}]") for i, mat in enumerate(seq)]
+    shapes = {mat.shape for mat in mats}
+    if len(shapes) != 1:
+        raise InvalidInput(
+            f"{name} matrices differ in shape across modes: {sorted(shapes)}")
+    return np.stack(mats)
 
 
 def _as_vector(value, name):
@@ -58,19 +77,25 @@ def _as_vector(value, name):
 
 
 def sym(matrix):
-    """Explicitly symmetrize ``matrix`` (used to stop asymmetry drift)."""
-    return 0.5 * (matrix + matrix.T)
+    """Explicitly symmetrize a matrix or a stack of them (stops drift)."""
+    return 0.5 * (matrix + matrix.swapaxes(-1, -2))
 
 
-def min_eigenvalue(matrix):
-    """Smallest eigenvalue of the symmetric part of ``matrix``."""
-    return float(np.linalg.eigvalsh(sym(matrix))[0])
+def pd_floor(mats, tol: float = PD_TOL):
+    """Smallest eigenvalues of a finite stack of symmetric matrices (lower
+    triangles read) and the floors ``tol * (1 + two-norm)`` they must exceed
+    to certify definiteness; one ``eigvalsh`` serves both."""
+    eig = np.linalg.eigvalsh(mats)
+    return eig[..., 0], tol * (1.0 + np.abs(eig).max(axis=-1))
 
 
-def spectral_norm_sym(matrix):
-    """Two-norm of a symmetric matrix (largest eigenvalue magnitude)."""
-    eig = np.linalg.eigvalsh(sym(matrix))
-    return float(max(abs(eig[0]), abs(eig[-1]))) if eig.size else 0.0
+def require_finite(stack, what: str):
+    """Raise :class:`NumericalFailure` naming the first mode (leading
+    index) where ``stack`` is not finite."""
+    if not np.isfinite(stack).all():
+        finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+        raise NumericalFailure(
+            f"{what} is not finite in mode {int(np.argmin(finite))}")
 
 
 @dataclass
@@ -108,8 +133,9 @@ class MjlsModel:
 
     Parameters
     ----------
-    A, B, Q, R : sequences of per-mode matrices
-        System matrices (n x n, n x m) and weights (n x n, m x m).
+    A, B, Q, R : sequences of per-mode matrices or (L, ., .) arrays
+        System matrices (n x n, n x m) and weights (n x n, m x m); stored as
+        read-only stacked arrays.
     transition : (L, L) array
         Row-stochastic matrix; entry [i, j] is the probability of jumping
         from mode i to mode j.
@@ -122,10 +148,10 @@ class MjlsModel:
         from Q when absent.
     """
 
-    A: list
-    B: list
-    Q: list
-    R: list
+    A: np.ndarray
+    B: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
     transition: np.ndarray
     initial_distribution: np.ndarray
     x0: np.ndarray
@@ -139,8 +165,7 @@ class MjlsModel:
         if len(set(lengths.values())) != 1 or lengths["A"] == 0:
             raise InvalidInput(f"per-mode matrix lists disagree: {lengths}")
         for name, seq in lists.items():
-            setattr(self, name,
-                    [_as_matrix(mat, f"{name}[{i}]") for i, mat in enumerate(seq)])
+            setattr(self, name, _as_stack(seq, name))
         if self.C is not None:
             if len(self.C) != lengths["A"]:
                 raise InvalidInput("C list length does not match mode count")
@@ -154,10 +179,8 @@ class MjlsModel:
             arr.flags.writeable = False
 
     def _all_arrays(self):
-        for seq in (self.A, self.B, self.Q, self.R, self.C or []):
-            for mat in seq:
-                if mat is not None:
-                    yield mat
+        yield from (self.A, self.B, self.Q, self.R)
+        yield from (mat for mat in self.C or [] if mat is not None)
         yield self.transition
         yield self.initial_distribution
         yield self.x0
@@ -168,11 +191,11 @@ class MjlsModel:
 
     @property
     def state_dim(self) -> int:
-        return self.A[0].shape[0]
+        return self.A.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.B[0].shape[1]
+        return self.B.shape[2]
 
     def validate(self) -> ValidationReport:
         """Run every model invariant; cached after the first call."""
@@ -187,27 +210,28 @@ class MjlsModel:
             lines = "; ".join(str(c) for c in report.failures)
             raise InvalidInput(f"model failed validation: {lines}")
 
+    def require_pd_input_weights(self):
+        """Raise :class:`PreconditionFailed` unless every R[i] is positive
+        definite (smallest eigenvalue above ``PD_TOL * (1 + ||R[i]||)``)."""
+        low, floor = pd_floor(sym(self.R))
+        if (low <= floor).any():
+            i = int(np.argmax(low <= floor))
+            raise PreconditionFailed(
+                f"R[{i}] must be positive definite "
+                f"(min eigenvalue {low[i]:.3e})")
+
     def state_weight_factors(self) -> list:
         """Per-mode C with C'C = Q, using supplied factors where available."""
-        factors = []
-        for i in range(self.mode_count):
-            given = None if self.C is None else self.C[i]
-            factors.append(given if given is not None
-                           else factor_state_weight(self.Q[i]))
-        return factors
+        given = self.C or [None] * self.mode_count
+        return [c if c is not None else factor_state_weight(q)
+                for c, q in zip(given, self.Q)]
 
     def to_dict(self) -> dict:
-        modes = []
-        for i in range(self.mode_count):
-            entry = {
-                "A": self.A[i].tolist(),
-                "B": self.B[i].tolist(),
-                "Q": self.Q[i].tolist(),
-                "R": self.R[i].tolist(),
-            }
-            if self.C is not None and self.C[i] is not None:
-                entry["C"] = self.C[i].tolist()
-            modes.append(entry)
+        modes = [{name: getattr(self, name)[i].tolist() for name in "ABQR"}
+                 for i in range(self.mode_count)]
+        for entry, c in zip(modes, self.C or []):
+            if c is not None:
+                entry["C"] = c.tolist()
         return {
             "modes": modes,
             "transition": self.transition.tolist(),
@@ -221,12 +245,11 @@ class MjlsModel:
             modes = data["modes"]
             if not isinstance(modes, list) or not modes:
                 raise InvalidInput("'modes' must be a non-empty list")
+            if not all(isinstance(mode, dict) for mode in modes):
+                raise InvalidInput("every entry of 'modes' must be an object")
             C = [mode.get("C") for mode in modes]
             return cls(
-                A=[mode["A"] for mode in modes],
-                B=[mode["B"] for mode in modes],
-                Q=[mode["Q"] for mode in modes],
-                R=[mode["R"] for mode in modes],
+                **{name: [mode[name] for mode in modes] for name in "ABQR"},
                 transition=data["transition"],
                 initial_distribution=data["initial_distribution"],
                 x0=data["x0"],
@@ -240,26 +263,25 @@ class MjlsModel:
 class Policy:
     """Mode-indexed linear state feedback u(k) = F[i] x(k).
 
-    Stationary policies hold one m x n gain per mode; staged policies hold a
-    gain table indexed as gains[k][i] for stages k = 0..horizon.
+    Stationary policies hold one m x n gain per mode, stored as a read-only
+    (L, m, n) array; staged policies hold a (stages, L, m, n) table indexed
+    as gains[k][i] for stages k = 0..horizon.
     """
 
-    gains: list
+    gains: np.ndarray
     staged: bool = False
 
     def __post_init__(self):
         stages = self.gains if self.staged else [self.gains]
-        converted = []
-        for k, per_mode in enumerate(stages):
-            mats = [_as_matrix(g, f"gain[{k}][{i}]")
-                    for i, g in enumerate(per_mode)]
-            for mat in mats:
-                if not np.all(np.isfinite(mat)):
-                    raise InvalidInput("policy gains must be finite")
-                if mat.shape != mats[0].shape:
-                    raise InvalidInput("policy gains must share one shape")
-            converted.append(mats)
-        self.gains = converted if self.staged else converted[0]
+        try:
+            table = np.stack([_as_stack(per_mode, f"gain[{k}]")
+                              for k, per_mode in enumerate(stages)])
+        except ValueError as exc:
+            raise InvalidInput("policy gains must share one shape") from exc
+        if not np.all(np.isfinite(table)):
+            raise InvalidInput("policy gains must be finite")
+        table.flags.writeable = False
+        self.gains = table if self.staged else table[0]
 
     @classmethod
     def stationary(cls, gains) -> "Policy":
@@ -275,7 +297,7 @@ class Policy:
 
     @property
     def mode_count(self) -> int:
-        return len(self.gains[0]) if self.staged else len(self.gains)
+        return self.gains.shape[-3]
 
     def gain(self, k: int, i: int) -> np.ndarray:
         """Feedback gain applied at stage k in mode i."""
@@ -283,7 +305,7 @@ class Policy:
             if not 0 <= k < len(self.gains):
                 raise InvalidInput(
                     f"stage {k} outside staged policy horizon {self.horizon}")
-            return self.gains[k][i]
+            return self.gains[k, i]
         return self.gains[i]
 
 
@@ -296,22 +318,14 @@ def validate(model: MjlsModel) -> ValidationReport:
     checks = []
     L, n, m = model.mode_count, model.state_dim, model.input_dim
 
-    mismatches = []
-    expected = {"A": (n, n), "B": (n, m), "Q": (n, n), "R": (m, m)}
-    for name in ("A", "B", "Q", "R"):
-        for i, mat in enumerate(getattr(model, name)):
-            if mat.shape != expected[name]:
-                mismatches.append(f"{name}[{i}]{mat.shape}")
-    if model.C is not None:
-        for i, mat in enumerate(model.C):
-            if mat is not None and mat.shape[1] != n:
-                mismatches.append(f"C[{i}]{mat.shape}")
-    if model.transition.shape != (L, L):
-        mismatches.append(f"transition{model.transition.shape}")
-    if model.initial_distribution.shape != (L,):
-        mismatches.append(f"initial_distribution{model.initial_distribution.shape}")
-    if model.x0.shape != (n,):
-        mismatches.append(f"x0{model.x0.shape}")
+    expected = {"A": (L, n, n), "B": (L, n, m), "Q": (L, n, n),
+                "R": (L, m, m), "transition": (L, L),
+                "initial_distribution": (L,), "x0": (n,)}
+    mismatches = [f"{name}{getattr(model, name).shape}"
+                  for name, shape in expected.items()
+                  if getattr(model, name).shape != shape]
+    mismatches += [f"C[{i}]{mat.shape}" for i, mat in enumerate(model.C or [])
+                   if mat is not None and mat.shape[1] != n]
     checks.append(ValidationCheck(
         "dimensions", not mismatches, float(len(mismatches)),
         ", ".join(mismatches)))
@@ -342,24 +356,22 @@ def validate(model: MjlsModel) -> ValidationReport:
 
     for name in ("Q", "R"):
         mats = getattr(model, name)
-        asym = max((float(np.max(np.abs(mat - mat.T)))
-                    for mat in mats if mat.shape[0] == mat.shape[1]),
-                   default=0.0)
+        asym, worst = 0.0, 0.0
+        if mats.shape[1] == mats.shape[2]:
+            asym = float(np.max(np.abs(mats - mats.transpose(0, 2, 1))))
+            eig = np.linalg.eigvalsh(
+                sym(mats[np.isfinite(mats).all(axis=(1, 2))]))
+            floor = -PSD_TOL * np.abs(eig).max(axis=-1, initial=0.0)
+            worst = float(np.max(floor - eig[..., 0], initial=0.0))
         checks.append(ValidationCheck(
             f"{name} symmetric", asym <= SYMMETRY_TOL, asym))
-        worst = 0.0
-        for mat in mats:
-            if mat.shape[0] != mat.shape[1] or not np.all(np.isfinite(mat)):
-                continue
-            floor = -PSD_TOL * spectral_norm_sym(mat)
-            worst = max(worst, max(0.0, floor - min_eigenvalue(mat)))
         checks.append(ValidationCheck(
             f"{name} positive semi-definite", worst == 0.0, worst))
 
     if model.C is not None:
         worst = 0.0
         for i, mat in enumerate(model.C):
-            if mat is None or mat.shape[1] != n or model.Q[i].shape != (n, n):
+            if mat is None or mat.shape[1] != n or model.Q.shape[1:] != (n, n):
                 continue
             err = float(np.linalg.norm(mat.T @ mat - model.Q[i], "fro"))
             worst = max(worst, err / (1.0 + float(np.linalg.norm(model.Q[i], "fro"))))
@@ -373,25 +385,22 @@ def mode_average(P, i: int, transition) -> np.ndarray:
     """Transition-weighted average sum_j transition[i, j] * P[j].
 
     This is the conditional expectation of the next-stage matrix given that
-    the chain currently sits in mode ``i``.  The result is explicitly
-    symmetrized.
+    the chain currently sits in mode ``i``, explicitly symmetrized;
+    :func:`coupled_average` forms it for every mode at once.
     """
-    transition = np.asarray(transition, dtype=float)
-    L = transition.shape[0]
-    if transition.shape != (L, L) or len(P) != L:
+    transition, mats = np.asarray(transition, dtype=float), _as_stack(P, "P")
+    L, n = mats.shape[:2]
+    if transition.shape != (L, L) or mats.shape != (L, n, n) or not 0 <= i < L:
         raise InvalidInput(
-            f"transition {transition.shape} incompatible with {len(P)} matrices")
-    if not 0 <= i < L:
-        raise InvalidInput(f"mode index {i} outside 0..{L - 1}")
-    mats = [np.asarray(mat, dtype=float) for mat in P]
-    shape = mats[0].shape
-    if any(mat.shape != shape for mat in mats) or shape[0] != shape[1]:
-        raise InvalidInput("matrices must be square and share one shape")
-    out = np.zeros(shape)
-    for j in range(L):
-        if transition[i, j] != 0.0:
-            out += transition[i, j] * mats[j]
-    return sym(out)
+            f"cannot average {mats.shape} matrices in mode {i} "
+            f"under a {transition.shape} transition matrix")
+    return coupled_average(mats, transition[i:i + 1])[0]
+
+
+def coupled_average(P, transition) -> np.ndarray:
+    """Stacked W[i] = sum_j transition[i, j] * P[j] over an (L, n, n) stack,
+    symmetrized; one matrix product serves every row of ``transition``."""
+    return sym((transition @ P.reshape(len(P), -1)).reshape(-1, *P.shape[1:]))
 
 
 def factor_state_weight(Q, tol: float = PSD_TOL) -> np.ndarray:

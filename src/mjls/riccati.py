@@ -16,6 +16,11 @@ Infinite horizon: iterating the same step from P = 0 (value iteration) drives
 the per-mode matrices to the fixed point of the coupled algebraic Riccati
 equation whenever a mean-square stabilizing controller exists; divergence of
 the iterates is the non-existence signal.
+
+One step handles all modes on the stacked (L, ., .) arrays of
+:mod:`mjls.model`: one product forms every W_i, batched ``matmul`` and
+``solve`` give Upsilon, M, P and the gains, and one batched ``eigvalsh``
+per Upsilon certifies definiteness.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     InvalidInput,
@@ -32,11 +36,10 @@ from .errors import (
     NotStabilizable,
     NumericalFailure,
     ObservabilityViolation,
-    PreconditionFailed,
     RiccatiBreakdown,
 )
-from .model import MjlsModel, Policy, mode_average, min_eigenvalue, sym, \
-    spectral_norm_sym
+from .model import MjlsModel, Policy, coupled_average, pd_floor, \
+    require_finite, sym
 
 __all__ = [
     "FiniteHorizonSolution",
@@ -49,73 +52,79 @@ __all__ = [
     "write_riccati_csv",
 ]
 
-PD_TOL = 1e-10
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
-def _pd_floor(matrix) -> float:
-    return PD_TOL * (1.0 + spectral_norm_sym(matrix))
+def _square_stack(mats, L, n, name):
+    """``mats`` as an (L, n, n) float array; raises InvalidInput otherwise."""
+    if len(mats) != L:
+        raise InvalidInput(f"expected {L} {name} matrices, got {len(mats)}")
+    try:
+        stack = np.asarray(mats, dtype=float)
+    except ValueError as exc:
+        raise InvalidInput(f"{name} matrices must share one shape") from exc
+    if stack.shape != (L, n, n):
+        raise InvalidInput(f"{name} matrices must be {n}x{n}")
+    return stack
 
 
+def _relative_change(new, old) -> float:
+    """Largest per-mode ||new[i] - old[i]||_F / (1 + ||old[i]||_F)."""
+    return float(np.max(np.linalg.norm(new - old, axis=(1, 2))
+                        / (1.0 + np.linalg.norm(old, axis=(1, 2)))))
+
+
+# Overflow is detected by the finiteness checks, which name stage and mode.
+@np.errstate(over="ignore", invalid="ignore")
 def cdre_step(P_next, model: MjlsModel, stage=None):
     """One backward step of the coupled difference Riccati recursion.
 
-    Parameters
-    ----------
-    P_next : sequence of per-mode symmetric matrices
-        Cost-to-go matrices at the following stage.
-    model : MjlsModel
-    stage : optional int
-        Stage label attached to breakdown diagnostics.
-
-    Returns
-    -------
-    (P, Upsilon, M, K, upsilon_min_eig) : per-mode lists
-        ``K[i]`` is the feedback gain, i.e. u = K[i] x.
-
-    Raises
-    ------
-    RiccatiBreakdown
-        If some Upsilon[i] is not positive definite (smallest eigenvalue at
-        or below ``1e-10 * (1 + ||Upsilon[i]||)``).
+    ``P_next`` holds the cost-to-go matrices of the following stage, as an
+    (L, n, n) array or a sequence; ``stage`` labels diagnostics.  Returns
+    the stacks ``(P, Upsilon, M, K, upsilon_min_eig)``, with u = K[i] x the
+    feedback.  Raises :class:`RiccatiBreakdown` for the first mode whose
+    Upsilon[i] is not positive definite (smallest eigenvalue at or below
+    ``1e-10 * (1 + ||Upsilon[i]||)``) and :class:`NumericalFailure` when
+    Upsilon[i] or P[i] overflows.
     """
-    L = model.mode_count
-    if len(P_next) != L:
-        raise InvalidInput(f"expected {L} matrices, got {len(P_next)}")
-    P, Upsilon, M, K, eigs = [], [], [], [], []
-    for i in range(L):
-        W = mode_average(P_next, i, model.transition)
-        A, B = model.A[i], model.B[i]
-        WB = W @ B
-        ups = sym(B.T @ WB + model.R[i])
-        mat = WB.T @ A
-        low = min_eigenvalue(ups)
-        floor = _pd_floor(ups)
-        if low <= floor:
-            kind = "indefinite" if low < -floor else "singular"
-            where = "" if stage is None else f" at stage {stage}"
-            raise RiccatiBreakdown(
-                f"input-weight term is {kind}{where} in mode {i}: "
-                f"min eigenvalue {low:.3e}",
-                stage=stage, mode=i, eigenvalue=low, kind=kind)
-        # Solve against Upsilon through its Cholesky factor; never invert.
-        factor = cho_factor(ups, lower=True)
-        gain = -cho_solve(factor, mat)
-        P.append(sym(A.T @ W @ A + model.Q[i] + mat.T @ gain))
-        Upsilon.append(ups)
-        M.append(mat)
-        K.append(gain)
-        eigs.append(low)
-    return P, Upsilon, M, K, eigs
+    P_next = _square_stack(P_next, model.mode_count, model.state_dim,
+                           "cost-to-go")
+    where = "" if stage is None else f" at stage {stage}"
+    A, B = model.A, model.B
+    W = coupled_average(P_next, model.transition)
+    WB = W @ B
+    ups = sym(B.transpose(0, 2, 1) @ WB + model.R)
+    mat = WB.transpose(0, 2, 1) @ A
+    require_finite(ups, f"input-weight term{where}")
+    low, floor = pd_floor(ups)
+    broken = low <= floor
+    if broken.any():
+        i = int(np.argmax(broken))
+        kind = "indefinite" if low[i] < -floor[i] else "singular"
+        raise RiccatiBreakdown(
+            f"input-weight term is {kind}{where} in mode {i}: "
+            f"min eigenvalue {low[i]:.3e}",
+            stage=stage, mode=i, eigenvalue=float(low[i]), kind=kind)
+    gain = -np.linalg.solve(ups, mat)
+    P = sym(A.transpose(0, 2, 1) @ W @ A + model.Q
+            + mat.transpose(0, 2, 1) @ gain)
+    require_finite(P, f"cost-to-go{where}")
+    return P, ups, mat, gain, low
 
 
 @dataclass(eq=False)
 class FiniteHorizonSolution:
     """Backward-recursion output over stages k = 0..N.
 
-    ``P[k][i]`` runs over k = 0..N+1 (``P[N+1]`` is the terminal weight);
-    ``Upsilon``, ``M``, ``K`` and ``upsilon_min_eig`` run over k = 0..N.
-    When the recursion breaks down at some stage, entries below that stage
-    are ``None`` and ``solvable`` is False.
+    ``P[k]`` is the read-only (L, n, n) stack of stage k = 0..N+1
+    (``P[N+1]`` is the terminal weight); the (L, m, m) ``Upsilon``, (L, m, n)
+    ``M`` and ``K`` stacks and the (L,) ``upsilon_min_eig`` run over
+    k = 0..N.  When the recursion breaks down at some stage, entries below
+    that stage are ``None`` and ``solvable`` is False.
     """
 
     horizon: int
@@ -145,79 +154,64 @@ def solve_finite(model: MjlsModel, terminal, N: int,
     model.ensure_valid()
     if N < 0:
         raise InvalidInput("horizon must be nonnegative")
-    L, n = model.mode_count, model.state_dim
-    if len(terminal) != L:
-        raise InvalidInput(f"expected {L} terminal matrices")
-    term = []
-    for j, mat in enumerate(terminal):
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (n, n):
-            raise InvalidInput(f"terminal[{j}] must be {n}x{n}")
-        if float(np.max(np.abs(mat - mat.T))) > 1e-12:
-            raise InvalidInput(f"terminal[{j}] must be symmetric")
-        if min_eigenvalue(mat) < -_pd_floor(mat):
-            raise InvalidInput(f"terminal[{j}] must be positive semi-definite")
-        term.append(sym(mat))
+    term = _square_stack(terminal, model.mode_count, model.state_dim,
+                         "terminal")
+    # NaN from non-finite entries fails the symmetry test too.
+    bad = ~(np.max(np.abs(term - term.transpose(0, 2, 1)), axis=(1, 2))
+            <= 1e-12)
+    if bad.any():
+        raise InvalidInput(
+            f"terminal[{int(np.argmax(bad))}] must be finite and symmetric")
+    term = sym(term)
+    low, floor = pd_floor(term)
+    if (low < -floor).any():
+        raise InvalidInput(f"terminal[{int(np.argmax(low < -floor))}] "
+                           "must be positive semi-definite")
 
-    P = [None] * (N + 2)
-    Upsilon = [None] * (N + 1)
-    M = [None] * (N + 1)
-    K = [None] * (N + 1)
-    eigs = [None] * (N + 1)
-    P[N + 1] = term
+    P, Upsilon, M, K, eigs = ([None] * (N + 1) for _ in range(5))
+    P.append(_frozen(term)[0])
+    breakdown = None
     for k in range(N, -1, -1):
         try:
-            P[k], Upsilon[k], M[k], K[k], eigs[k] = cdre_step(
-                P[k + 1], model, stage=k)
+            P[k], Upsilon[k], M[k], K[k], eigs[k] = _frozen(*cdre_step(
+                P[k + 1], model, stage=k))
         except RiccatiBreakdown as exc:
             if raise_on_breakdown:
                 raise
-            return FiniteHorizonSolution(
-                horizon=N, P=P, Upsilon=Upsilon, M=M, K=K,
-                upsilon_min_eig=eigs, solvable=False, breakdown=exc)
+            breakdown = exc
+            break
     return FiniteHorizonSolution(
-        horizon=N, P=P, Upsilon=Upsilon, M=M, K=K,
-        upsilon_min_eig=eigs, solvable=True)
+        horizon=N, P=P, Upsilon=Upsilon, M=M, K=K, upsilon_min_eig=eigs,
+        solvable=breakdown is None, breakdown=breakdown)
 
 
 def optimal_cost_finite(sol: FiniteHorizonSolution, model: MjlsModel) -> float:
     """Optimal performance index sum_i pi0[i] * x0' P[i](0) x0."""
     if not sol.solvable:
         raise InvalidState("cost undefined: the recursion broke down")
-    x0 = model.x0
-    pi0 = model.initial_distribution
-    return float(sum(pi0[i] * x0 @ sol.P[0][i] @ x0
-                     for i in range(model.mode_count)))
+    return float(model.initial_distribution @ (sol.P[0] @ model.x0 @ model.x0))
 
 
 @dataclass(eq=False)
 class CareSolution:
     """Fixed point of the coupled algebraic Riccati equation.
 
-    ``K[i]`` is the stationary feedback gain u = K[i] x; ``p_min_eig``
-    certifies positive definiteness of each P[i].
+    ``P``, ``Upsilon``, ``M`` and ``K`` are read-only (L, ., .) stacks;
+    ``K[i]`` is the stationary feedback gain u = K[i] x; the (L,)
+    ``p_min_eig`` certifies positive definiteness of each P[i].
     """
 
-    P: list
-    Upsilon: list
-    M: list
-    K: list
+    P: np.ndarray
+    Upsilon: np.ndarray
+    M: np.ndarray
+    K: np.ndarray
+    p_min_eig: np.ndarray
     iterations: int
     final_increment: float
     residual: float
-    p_min_eig: list
 
     def policy(self) -> Policy:
         return Policy.stationary(self.K)
-
-
-def _check_input_weights_pd(model: MjlsModel):
-    for i in range(model.mode_count):
-        low = min_eigenvalue(model.R[i])
-        if low <= _pd_floor(model.R[i]):
-            raise PreconditionFailed(
-                f"R[{i}] must be positive definite "
-                f"(min eigenvalue {low:.3e})")
 
 
 def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,
@@ -235,28 +229,21 @@ def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,
     exact observability.
     """
     model.ensure_valid()
-    _check_input_weights_pd(model)
+    model.require_pd_input_weights()
     L, n = model.mode_count, model.state_dim
-    if initial is None:
-        P = [np.zeros((n, n)) for _ in range(L)]
-    else:
-        if len(initial) != L:
-            raise InvalidInput(f"expected {L} initial matrices")
-        P = [sym(np.asarray(mat, dtype=float)) for mat in initial]
+    P = np.zeros((L, n, n)) if initial is None else \
+        sym(_square_stack(initial, L, n, "initial"))
 
     increment = np.inf
     for iteration in range(1, max_iter + 1):
-        new_P, Upsilon, M, K, _ = cdre_step(P, model)
-        if any(float(np.trace(mat)) > divergence_bound for mat in new_P):
+        new_P = cdre_step(P, model)[0]
+        if np.trace(new_P, axis1=1, axis2=2).max() > divergence_bound:
             raise NotStabilizable(
                 f"iterates diverged after {iteration} iterations "
                 f"(trace above {divergence_bound:.1e}); "
                 "no mean-square stabilizing controller exists",
                 reason="diverged", iterations=iteration)
-        increment = max(
-            float(np.linalg.norm(new_P[i] - P[i], "fro"))
-            / (1.0 + float(np.linalg.norm(P[i], "fro")))
-            for i in range(L))
+        increment = _relative_change(new_P, P)
         P = new_P
         if increment <= tol:
             break
@@ -273,16 +260,16 @@ def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,
             f"above {residual_tol:.1e}")
     # Stationary coefficients evaluated at the fixed point.
     _, Upsilon, M, K, _ = cdre_step(P, model)
-    p_eigs = [min_eigenvalue(mat) for mat in P]
-    for i, low in enumerate(p_eigs):
-        if low <= _pd_floor(P[i]):
-            raise ObservabilityViolation(
-                f"fixed point P[{i}] is not positive definite "
-                f"(min eigenvalue {low:.3e}); the state weights likely fail "
-                "exact observability")
-    return CareSolution(P=P, Upsilon=Upsilon, M=M, K=K,
+    p_eigs, floor = pd_floor(P)
+    if (p_eigs <= floor).any():
+        i = int(np.argmax(p_eigs <= floor))
+        raise ObservabilityViolation(
+            f"fixed point P[{i}] is not positive definite "
+            f"(min eigenvalue {p_eigs[i]:.3e}); the state weights likely "
+            "fail exact observability")
+    return CareSolution(*_frozen(P, Upsilon, M, K, p_eigs),
                         iterations=iteration, final_increment=increment,
-                        residual=residual, p_min_eig=p_eigs)
+                        residual=residual)
 
 
 def care_residual(P, model: MjlsModel) -> float:
@@ -291,11 +278,8 @@ def care_residual(P, model: MjlsModel) -> float:
     Applies one recursion step to ``P`` and returns the largest per-mode
     Frobenius distance to ``P`` normalized by (1 + ||P[i]||_F).
     """
-    new_P, _, _, _, _ = cdre_step(P, model)
-    return max(
-        float(np.linalg.norm(new_P[i] - np.asarray(P[i], dtype=float), "fro"))
-        / (1.0 + float(np.linalg.norm(P[i], "fro")))
-        for i in range(model.mode_count))
+    return _relative_change(cdre_step(P, model)[0],
+                            np.asarray(P, dtype=float))
 
 
 def write_riccati_csv(sol: FiniteHorizonSolution, path):
@@ -306,25 +290,21 @@ def write_riccati_csv(sol: FiniteHorizonSolution, path):
     where no gain entry exists (terminal stage, or row/col outside the gain
     shape).  Floats are written with ``repr`` so files are byte-reproducible.
     """
-    n = sol.P[sol.horizon + 1][0].shape[0]
-    m = sol.K[0][0].shape[0] if sol.solvable else 0
+    n = sol.P[-1].shape[1]
+    m = sol.K[0].shape[1] if sol.solvable else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "mode", "row", "col", "P",
                          "gain_row", "gain_col", "K"])
-        for k in range(sol.horizon + 2):
-            if sol.P[k] is None:
+        for k, P_k in enumerate(sol.P):
+            if P_k is None:
                 continue
-            has_gain = k <= sol.horizon and sol.K[k] is not None
-            for i, mat in enumerate(sol.P[k]):
-                for row in range(max(n, m if has_gain else 0)):
+            K_k = sol.K[k].tolist() if m and k <= sol.horizon else None
+            for i, p in enumerate(P_k.tolist()):
+                for row in range(max(n, m) if K_k else n):
                     for col in range(n):
-                        p_val = repr(float(mat[row, col])) if row < n else ""
-                        if has_gain and row < m:
-                            g = sol.K[k][i]
-                            gain = [str(row), str(col),
-                                    repr(float(g[row, col]))]
-                        else:
-                            gain = ["", "", ""]
-                        writer.writerow(
-                            [k, i, row if row < n else "", col, p_val, *gain])
+                        cells = ([k, i, row, col, repr(p[row][col])]
+                                 if row < n else [k, i, "", col, ""])
+                        cells += ([row, col, repr(K_k[i][row][col])]
+                                  if K_k and row < m else ["", "", ""])
+                        writer.writerow(cells)

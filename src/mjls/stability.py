@@ -9,6 +9,13 @@ closed-loop matrices Abar[i] = A[i] + B[i] F[i],
 a linear map on the stacked vectorized moments whose spectral radius below
 one is equivalent to E||x(k)||^2 -> 0 for every initial state and mode.  The
 same recursion run forward gives exact (sampling-free) second moments.
+
+On the stacked (L, n, n) arrays of :mod:`mjls.model` each moment stage and
+Gramian step is one batched product.  :func:`is_mss` takes dense eigenvalues
+of the lifted matrix when L n^2 <= ``DENSE_LIMIT``; above that, block power
+iteration applies the map above to blocks of moment stacks directly, never
+forming the matrix (Costa, Fragoso & Marques, Discrete-Time Markov Jump
+Linear Systems, 2005, ch. 3).
 """
 
 from __future__ import annotations
@@ -18,14 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidInput,
-    NotStabilizable,
-    NumericalFailure,
-    PreconditionFailed,
-)
-from .model import MjlsModel, Policy, mode_average, min_eigenvalue, \
-    spectral_norm_sym, sym
+from .errors import InvalidInput, NotStabilizable, NumericalFailure, \
+    PreconditionFailed
+from .model import MjlsModel, Policy, coupled_average, pd_floor, \
+    require_finite, sym
 from .riccati import solve_care
 
 __all__ = [
@@ -40,21 +43,37 @@ __all__ = [
     "write_moment_csv",
 ]
 
+# Up to this size dense eigenvalues take under 0.5 ms and stay exact when
+# many share the top modulus; above it the block iteration is cheaper.
+DENSE_LIMIT = 32
 
-def closed_loop_matrices(model: MjlsModel, policy: Policy | None) -> list:
-    """Per-mode A[i] + B[i] F[i]; plain A[i] when no policy is given."""
+
+def _with_gains(model: MjlsModel, gains) -> np.ndarray:
+    """A + B F for an (..., L, m, n) gain stack."""
+    L, n, m = model.mode_count, model.state_dim, model.input_dim
+    if gains.shape[-3:] != (L, m, n):
+        raise InvalidInput(
+            f"gains must be {L} modes of {m}x{n}, got {gains.shape}")
+    return model.A + model.B @ gains
+
+
+def closed_loop_matrices(model: MjlsModel,
+                         policy: Policy | None) -> np.ndarray:
+    """Stacked (L, n, n) A[i] + B[i] F[i]; a copy of A without a policy."""
     if policy is None:
-        return [model.A[i].copy() for i in range(model.mode_count)]
+        return model.A.copy()
     if policy.staged:
         raise InvalidInput("a stationary policy is required here")
-    n, m = model.state_dim, model.input_dim
-    mats = []
-    for i in range(model.mode_count):
-        F = policy.gain(0, i)
-        if F.shape != (m, n):
-            raise InvalidInput(f"gain[{i}] must be {m}x{n}, got {F.shape}")
-        mats.append(model.A[i] + model.B[i] @ F)
-    return mats
+    return _with_gains(model, policy.gains)
+
+
+def _lifted_matrix(abar, transition) -> np.ndarray:
+    """:func:`closed_loop_operator` of ``abar``, on row-major vectorized
+    moments stacked by mode."""
+    L, n = abar.shape[:2]
+    kron = np.einsum("iab,icd->iacbd", abar, abar).reshape(L, n * n, n * n)
+    return np.einsum("ij,iab->jaib", transition, kron).reshape(
+        L * n * n, L * n * n)
 
 
 def closed_loop_operator(model: MjlsModel,
@@ -65,77 +84,56 @@ def closed_loop_operator(model: MjlsModel,
     transition[i, j] * kron(Abar[i], Abar[i]).
     """
     model.ensure_valid()
-    abar = closed_loop_matrices(model, policy)
-    L, n = model.mode_count, model.state_dim
-    d = n * n
-    T = np.zeros((L * d, L * d))
-    for i in range(L):
-        kron = np.kron(abar[i], abar[i])
-        for j in range(L):
-            lam = model.transition[i, j]
-            if lam != 0.0:
-                T[j * d:(j + 1) * d, i * d:(i + 1) * d] = lam * kron
-    return T
+    return _lifted_matrix(closed_loop_matrices(model, policy),
+                          model.transition)
 
 
-def _orthogonal_iteration(T, block, tol, max_iter, rng):
-    """Dominant-modulus estimate from orthogonal (block power) iteration.
-
-    Returns (radius, converged).  The subspace residual ||T V - V H||_F with
-    H = V' T V certifies the estimate; a random start avoids starting vectors
-    orthogonal to the dominant eigenspace.
-    """
-    n = T.shape[0]
-    V = np.linalg.qr(rng.standard_normal((n, block)))[0]
-    scale = tol * (1.0 + float(np.linalg.norm(T, "fro")))
-    previous = np.inf
-    for _ in range(max_iter):
-        W = T @ V
-        H = V.T @ W
-        eigs = np.linalg.eigvals(H)
-        radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-        residual = float(np.linalg.norm(W - V @ H, "fro"))
-        if residual <= scale and abs(radius - previous) <= tol * (1.0 + radius):
-            return radius, True
-        previous = radius
-        norm_W = float(np.linalg.norm(W))
-        if norm_W == 0.0:
-            return 0.0, True
-        V = np.linalg.qr(W)[0]
-    return previous, False
+def _radius(apply, size, fro, dense, tol, max_iter) -> float:
+    """Spectral radius of the operator T that ``apply`` maps (size, block)
+    arrays through; ``dense()`` builds T and is used up to DENSE_LIMIT.
+    Above it, orthogonal iteration from a seeded random start widens the
+    block (1, 2, 4, 8) while the dominant eigenvalues will not separate,
+    until ||T V - V H||_F with H = V' T V is within ``tol * (1 + fro)``
+    (``fro`` = ||T||_F) and the estimate has settled."""
+    if size <= DENSE_LIMIT:
+        return float(np.max(np.abs(np.linalg.eigvals(dense())), initial=0.0))
+    rng = np.random.default_rng(0x5eed)
+    for block in (1, 2, 4, 8):
+        V = np.linalg.qr(rng.standard_normal((size, block)))[0]
+        previous = np.inf
+        for _ in range(max_iter):
+            W = apply(V)
+            H = V.T @ W
+            radius = float(np.max(np.abs(np.linalg.eigvals(H))))
+            if (np.linalg.norm(W - V @ H) <= tol * (1.0 + fro)
+                    and abs(radius - previous) <= tol * (1.0 + radius)):
+                return radius
+            if not W.any():
+                return 0.0
+            previous = radius
+            V = np.linalg.qr(W)[0]
+    raise NumericalFailure(
+        f"spectral radius estimate did not settle within {max_iter} "
+        "iterations (block widths 1, 2, 4, 8)")
 
 
 def spectral_radius(T, tol: float = 1e-12, max_iter: int = 10000) -> float:
     """Largest eigenvalue magnitude of a square matrix.
 
-    Uses block power iteration, widening the block (1, 2, 4, ...) when the
-    dominant eigenvalues come in complex pairs or share their modulus.  The
-    returned value is accurate to ``tol * (1 + ||T||)``.
-
-    Raises
-    ------
-    NumericalFailure
-        If no block width converges within ``max_iter`` iterations each.
+    Dense eigenvalues up to ``DENSE_LIMIT`` rows, block power iteration
+    above, accurate to ``tol * (1 + ||T||_F)``; raises
+    :class:`NumericalFailure` if no block width settles in ``max_iter``.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise InvalidInput("spectral radius needs a square matrix")
     if not np.all(np.isfinite(T)):
         raise InvalidInput("matrix entries must be finite")
-    n = T.shape[0]
-    if n == 0:
-        return 0.0
-    rng = np.random.default_rng(0x5eed)
-    blocks = sorted({min(b, n) for b in (1, 2, 4, 8)})
-    for block in blocks:
-        radius, converged = _orthogonal_iteration(T, block, tol, max_iter, rng)
-        if converged:
-            return radius
-    raise NumericalFailure(
-        f"spectral radius estimate did not settle within {max_iter} "
-        f"iterations (block widths {blocks})")
+    return _radius(lambda V: T @ V, T.shape[0],
+                   float(np.linalg.norm(T, "fro")), lambda: T, tol, max_iter)
 
 
+@np.errstate(over="ignore")
 def is_mss(model: MjlsModel, policy: Policy | None = None,
            mss_margin: float = 1e-9):
     """Decide mean-square stability of the (closed-loop) switched system.
@@ -143,17 +141,33 @@ def is_mss(model: MjlsModel, policy: Policy | None = None,
     Returns ``(stable, radius)`` where ``stable`` requires the lifted
     operator's spectral radius to sit strictly below ``1 - mss_margin``;
     a marginal radius of one is not mean-square stable since the second
-    moment then fails to vanish.
+    moment then fails to vanish.  An overflow raises NumericalFailure.
     """
-    radius = spectral_radius(closed_loop_operator(model, policy))
+    model.ensure_valid()
+    abar, lam = closed_loop_matrices(model, policy), model.transition
+    L, n = abar.shape[:2]
+    # Frobenius norms of the lifted operator's block rows.
+    rows = np.sqrt((lam ** 2).sum(axis=1)) * np.sum(abar * abar, axis=(1, 2))
+    require_finite(rows, "lifted second-moment operator")
+
+    def apply(V):
+        # Columns of V are row-major vectorized moment stacks X[i].
+        block = V.shape[1]
+        Y = abar @ V.T.reshape(block, L, n, n) @ abar.transpose(0, 2, 1)
+        Z = lam.T @ Y.transpose(1, 0, 2, 3).reshape(L, -1)
+        return Z.reshape(L, block, n * n).transpose(0, 2, 1).reshape(V.shape)
+
+    radius = _radius(apply, L * n * n, float(np.hypot.reduce(rows)),
+                     lambda: _lifted_matrix(abar, lam), 1e-12, 10000)
     return radius < 1.0 - mss_margin, radius
 
 
 @dataclass(eq=False)
 class SecondMomentChain:
-    """Exact per-mode conditional second moments X[k][i] and mode masses."""
+    """Exact conditional second moments, X[k][i] = E[x(k) x(k)' 1{mode i}]
+    as a (steps + 1, L, n, n) array, and the mode masses."""
 
-    X: list
+    X: np.ndarray
     mode_mass: np.ndarray
 
     @property
@@ -162,83 +176,84 @@ class SecondMomentChain:
 
     def traces(self) -> np.ndarray:
         """Array [k, i] of trace(X[k][i])."""
-        return np.array([[float(np.trace(mat)) for mat in stage]
-                         for stage in self.X])
+        return np.trace(self.X, axis1=2, axis2=3)
 
     def total_second_moment(self) -> np.ndarray:
         """E||x(k)||^2 for k = 0..steps."""
         return self.traces().sum(axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def propagate_second_moment(model: MjlsModel, policy: Policy | None,
                             steps: int) -> SecondMomentChain:
     """Propagate exact second moments of the closed loop; no sampling.
 
     Starts from X[0][i] = pi0[i] * x0 x0' and applies the lifted recursion
-    ``steps`` times.  A staged policy must cover every propagated stage.
+    ``steps`` times, one batched product per stage.  A staged policy must
+    cover every propagated stage.  Raises :class:`NumericalFailure` naming
+    the first step and mode whose moment overflows.
     """
     model.ensure_valid()
     if steps < 0:
         raise InvalidInput("steps must be nonnegative")
-    L, n = model.mode_count, model.state_dim
-    if policy is not None and policy.staged and steps > policy.horizon + 1:
+    if policy is None:
+        abar = model.A
+    elif policy.staged and steps > policy.horizon + 1:
         raise InvalidInput(
             f"staged policy covers {policy.horizon + 1} steps, "
             f"asked for {steps}")
-    x0 = model.x0
-    X = [[model.initial_distribution[i] * np.outer(x0, x0) for i in range(L)]]
-    for k in range(steps):
-        if policy is None:
-            abar = [model.A[i] for i in range(L)]
-        else:
-            abar = [model.A[i] + model.B[i] @ policy.gain(k, i)
-                    for i in range(L)]
-        nxt = [np.zeros((n, n)) for _ in range(L)]
-        for i in range(L):
-            push = abar[i] @ X[k][i] @ abar[i].T
-            for j in range(L):
-                lam = model.transition[i, j]
-                if lam != 0.0:
-                    nxt[j] += lam * push
-        X.append([sym(mat) for mat in nxt])
-    mass = np.empty((steps + 1, L))
+    else:
+        abar = _with_gains(model, policy.gains[:steps] if policy.staged
+                           else policy.gains)
+    abar = np.broadcast_to(abar, (steps,) + model.A.shape)
+    x0, lam = model.x0, model.transition
+    X = np.empty((steps + 1,) + model.A.shape)
+    X[0] = model.initial_distribution[:, None, None] * np.outer(x0, x0)
+    mass = np.empty((steps + 1, model.mode_count))
     mass[0] = model.initial_distribution
+    # X[k+1][j] = sum_i transition[i, j] Abar[i] X[k][i] Abar[i]'
     for k in range(steps):
-        mass[k + 1] = mass[k] @ model.transition
+        X[k + 1] = coupled_average(
+            abar[k] @ X[k] @ abar[k].transpose(0, 2, 1), lam.T)
+        require_finite(X[k + 1], f"second moment at step {k + 1}")
+        mass[k + 1] = mass[k] @ lam
     return SecondMomentChain(X=X, mode_mass=mass)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def observability_gramian(model: MjlsModel, horizon: int) -> np.ndarray:
+    """(L, n, n) stack of the transition-weighted observability Gramians
+
+        G[i](0) = Q[i],   G[i](t) = Q[i] + A[i]' (sum_j transition[i,j]
+                                                  G[j](t-1)) A[i]
+
+    at t = ``horizon``, all modes per step; an overflow raises
+    :class:`NumericalFailure` naming the step and mode."""
+    G = model.Q
+    for step in range(1, horizon + 1):
+        G = sym(model.Q + model.A.transpose(0, 2, 1)
+                @ coupled_average(G, model.transition) @ model.A)
+        require_finite(G, f"observability Gramian at step {step}")
+    return G
 
 
 def is_exactly_observable(model: MjlsModel, horizon: int | None = None,
                           strict: bool = False, pd_tol: float = 1e-10) -> bool:
     """Whether an almost-surely zero output forces a zero initial state.
 
-    Builds the transition-weighted observability Gramians
-
-        G[i](0) = Q[i],   G[i](t) = Q[i] + A[i]' (sum_j transition[i,j]
-                                                  G[j](t-1)) A[i]
-
-    and checks positive definiteness after ``horizon`` steps (defaults to
-    n * L; Gramian kernels are non-increasing and stall within that many
-    steps).  By default only modes with positive initial probability are
-    checked; ``strict=True`` demands all of them.
+    Checks positive definiteness of :func:`observability_gramian` after
+    ``horizon`` steps (defaults to n * L; Gramian kernels are non-increasing
+    and stall within that many steps).  By default only modes with positive
+    initial probability are checked; ``strict=True`` demands all of them.
     """
     model.ensure_valid()
     # Factoring Q certifies it is a valid C'C when no output map was given.
     model.state_weight_factors()
-    L, n = model.mode_count, model.state_dim
-    if horizon is None:
-        horizon = n * L
-    G = [model.Q[i].copy() for i in range(L)]
-    for _ in range(horizon):
-        G = [sym(model.Q[i]
-                 + model.A[i].T @ mode_average(G, i, model.transition)
-                 @ model.A[i])
-             for i in range(L)]
-    modes = range(L) if strict else \
-        [i for i in range(L) if model.initial_distribution[i] > 0.0]
-    return all(
-        min_eigenvalue(G[i]) > pd_tol * (1.0 + spectral_norm_sym(G[i]))
-        for i in modes)
+    G = observability_gramian(model, model.state_dim * model.mode_count
+                              if horizon is None else horizon)
+    low, floor = pd_floor(G if strict else G[model.initial_distribution > 0],
+                          pd_tol)
+    return bool(np.all(low > floor))
 
 
 def is_stabilizable(model: MjlsModel, **care_options) -> bool:
@@ -250,8 +265,7 @@ def is_stabilizable(model: MjlsModel, **care_options) -> bool:
     raises :class:`PreconditionFailed`.
     """
     model.ensure_valid()
-    from .riccati import _check_input_weights_pd
-    _check_input_weights_pd(model)
+    model.require_pd_input_weights()
     if not is_exactly_observable(model):
         raise PreconditionFailed(
             "the state weights are not exactly observable; the Riccati "
@@ -274,7 +288,6 @@ def write_moment_csv(chain: SecondMomentChain, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "mode", "trace", "total"])
-        for k in range(traces.shape[0]):
-            for i in range(traces.shape[1]):
-                writer.writerow(
-                    [k, i, repr(float(traces[k, i])), repr(float(totals[k]))])
+        for k, (row, total) in enumerate(zip(traces.tolist(), totals)):
+            writer.writerows([k, i, repr(t), repr(float(total))]
+                             for i, t in enumerate(row))

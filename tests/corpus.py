@@ -2,8 +2,10 @@
 
 The reference routines here deliberately avoid the package's code paths:
 the single-mode Riccati recursion uses plain LU solves, the costate oracle
-multiplies out the state-transition products literally, and the spectral
-radius oracle is a dense eigendecomposition.
+multiplies out the state-transition products literally, the spectral
+radius oracle is a dense eigendecomposition, and the coupled Riccati step,
+observability Gramian, moment recursion and lifted operator are literal
+loops over modes (the package works on stacked arrays).
 """
 
 import itertools
@@ -164,3 +166,138 @@ def literal_costates(model, policy, N, terminal):
             weights[k][key] = weights[k].get(key, 0.0) + prob
     return [{key: accum[k][key] / weights[k][key] for key in accum[k]}
             for k in range(N + 1)]
+
+
+# Literal per-mode references for the stacked (L, ., .) solvers.  Each loops
+# over modes and sums transition-weighted terms one at a time, the way the
+# recursions are written in the paper.
+
+
+class LiteralBreakdown(Exception):
+    """Raised by :func:`literal_cdre_step` with (stage, mode, kind)."""
+
+    def __init__(self, stage, mode, kind):
+        super().__init__(stage, mode, kind)
+        self.triple = (stage, mode, kind)
+
+
+def _literal_average(mats, weights):
+    out = np.zeros_like(np.asarray(mats[0], float))
+    for weight, mat in zip(weights, mats):
+        out = out + weight * np.asarray(mat, float)
+    return 0.5 * (out + out.T)
+
+
+def literal_cdre_step(P_next, model, stage=None):
+    """One coupled Riccati step, mode by mode, with plain LU solves.
+
+    Returns per-mode lists (P, Upsilon, M, K).  The first mode whose input
+    term has smallest eigenvalue at or below 1e-10 (1 + its two-norm)
+    raises :class:`LiteralBreakdown`.
+    """
+    P, U, M, K = [], [], [], []
+    for i in range(model.mode_count):
+        W = _literal_average(P_next, model.transition[i])
+        A, B = np.asarray(model.A[i]), np.asarray(model.B[i])
+        ups = B.T @ W @ B + model.R[i]
+        ups = 0.5 * (ups + ups.T)
+        eig = np.linalg.eigvalsh(ups)
+        floor = 1e-10 * (1.0 + max(abs(eig[0]), abs(eig[-1])))
+        if eig[0] <= floor:
+            kind = "indefinite" if eig[0] < -floor else "singular"
+            raise LiteralBreakdown(stage, i, kind)
+        mat = B.T @ W @ A
+        gain = -np.linalg.solve(ups, mat)
+        p = A.T @ W @ A + model.Q[i] + mat.T @ gain
+        P.append(0.5 * (p + p.T))
+        U.append(ups)
+        M.append(mat)
+        K.append(gain)
+    return P, U, M, K
+
+
+def literal_gramian(model, horizon):
+    """Observability Gramians G[i](horizon), mode by mode."""
+    L = model.mode_count
+    G = [np.asarray(model.Q[i], float) for i in range(L)]
+    for _ in range(horizon):
+        G = [model.Q[i] + model.A[i].T @ _literal_average(
+            G, model.transition[i]) @ model.A[i] for i in range(L)]
+        G = [0.5 * (g + g.T) for g in G]
+    return G
+
+
+def literal_moments(model, gain, steps):
+    """Second moments X[k][i] for k = 0..steps under u = gain(k, i) x.
+
+    ``gain`` returns the m x n gain or None for an open loop.
+    """
+    L = model.mode_count
+    x0 = np.asarray(model.x0, float)
+    X = [[model.initial_distribution[i] * np.outer(x0, x0) for i in range(L)]]
+    for k in range(steps):
+        pushed = []
+        for i in range(L):
+            F = gain(k, i)
+            Ab = model.A[i] if F is None else model.A[i] + model.B[i] @ F
+            pushed.append(Ab @ X[k][i] @ Ab.T)
+        X.append([_literal_average(pushed, model.transition[:, j])
+                  for j in range(L)])
+    return X
+
+
+def literal_lifted_operator(abar, transition):
+    """Dense lifted operator: block (j, i) = transition[i, j] kron(Ab_i,
+    Ab_i), built block by block."""
+    L = len(abar)
+    d = abar[0].shape[0] ** 2
+    T = np.zeros((L * d, L * d))
+    for i in range(L):
+        for j in range(L):
+            T[j * d:(j + 1) * d, i * d:(i + 1) * d] = \
+                transition[i, j] * np.kron(abar[i], abar[i])
+    return T
+
+
+def stacked_corpus(rng, count=40):
+    """Models covering L = 1, m > n, zero transition entries and R = 0 with
+    invertible B, alongside random draws."""
+    models = [semidefinite_input_weight_model()]
+    while len(models) < count:
+        kind = len(models) % 4
+        model = random_model(rng, n_max=3, m_max=3, L_max=4)
+        L, n = model.mode_count, model.state_dim
+        if kind == 0:
+            model = random_model(rng, n_max=3, m_max=2, L_max=1)
+        elif kind == 1:
+            n = int(rng.integers(1, 3))
+            m = n + int(rng.integers(1, 3))
+            model = MjlsModel(
+                A=rng.uniform(-1.2, 1.2, (L, n, n)),
+                B=rng.uniform(-1.0, 1.0, (L, n, m)),
+                Q=[np.eye(n)] * L, R=[0.5 * np.eye(m)] * L,
+                transition=model.transition,
+                initial_distribution=model.initial_distribution,
+                x0=rng.uniform(-1.0, 1.0, n))
+        elif kind == 2 and L > 1:
+            lam = rng.uniform(0.1, 1.0, (L, L))
+            lam[rng.uniform(size=(L, L)) < 0.4] = 0.0
+            lam[np.arange(L), rng.integers(L, size=L)] = 1.0
+            lam /= lam.sum(axis=1, keepdims=True)
+            model = MjlsModel(A=model.A, B=model.B, Q=model.Q, R=model.R,
+                              transition=lam,
+                              initial_distribution=model.initial_distribution,
+                              x0=model.x0)
+        models.append(model)
+    return models
+
+
+def semidefinite_input_weight_model():
+    """Zero input penalty with square invertible input maps (criterion 4)."""
+    return MjlsModel(
+        A=[[[1.3, 0.2], [0.4, 0.9]], [[0.7, -0.3], [0.2, 1.1]]],
+        B=[np.eye(2), [[1.0, 0.5], [0.0, 1.0]]],
+        Q=[np.eye(2), np.eye(2)],
+        R=[np.zeros((2, 2)), np.zeros((2, 2))],
+        transition=[[0.6, 0.4], [0.2, 0.8]],
+        initial_distribution=[0.3, 0.7], x0=[1.0, -2.0])

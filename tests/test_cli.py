@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +244,90 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert "open-loop radius" in result.stdout
+
+
+ALL_COMMANDS = ("solve-finite", "solve-care", "check", "simulate", "verify")
+
+
+def run_everywhere(path, tmp_path):
+    return {cmd: main([cmd, "--model", str(path), "--horizon", "3",
+                       "--out", str(tmp_path / cmd)])
+            for cmd in ALL_COMMANDS}
+
+
+def scalar_modes(a_values):
+    L = len(a_values)
+    return {"modes": [{"A": [[a]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
+                      for a in a_values],
+            "transition": np.full((L, L), 1.0 / L).tolist(),
+            "initial_distribution": [1.0 / L] * L, "x0": [1.0]}
+
+
+class TestMalformedModes:
+    def test_non_object_mode_entry(self, tmp_path):
+        path = tmp_path / "modes.json"
+        path.write_text(json.dumps({"modes": [1], "transition": [[1.0]],
+                                    "initial_distribution": [1.0],
+                                    "x0": [1.0]}))
+        assert set(run_everywhere(path, tmp_path).values()) == {1}
+
+    def test_ragged_per_mode_shapes(self, tmp_path):
+        data = scalar_modes([0.5, 0.5])
+        data["modes"][0]["A"] = np.eye(2).tolist()
+        data["modes"][1]["A"] = np.eye(3).tolist()
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(data))
+        assert set(run_everywhere(path, tmp_path).values()) == {1}
+
+
+class TestNonFinite:
+    def test_overflowing_dynamics_exit_numerical_failure(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(scalar_modes([1e300])))
+        assert set(run_everywhere(path, tmp_path).values()) == {5}
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_gramian_overflow_exit_numerical_failure(self, tmp_path, capsys):
+        # Two modes: the default Gramian horizon n L = 2 overflows at 1e400.
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps(scalar_modes([1e100, 1e100])))
+        for cmd in ("solve-care", "check"):
+            assert main([cmd, "--model", str(path),
+                         "--out", str(tmp_path / cmd)]) == 5
+            assert "observability Gramian at step 2" in \
+                capsys.readouterr().err
+
+
+class TestPeriodicRotation:
+    def test_check_reports_dense_radius(self, tmp_path):
+        axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+        K = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]],
+                      [-axis[1], axis[0], 0.0]])
+        rot = 0.9 * (np.eye(3) + np.sin(0.7) * K
+                     + (1.0 - np.cos(0.7)) * K @ K)
+        model = MjlsModel(A=[rot, rot], B=[np.eye(3)[:, :1]] * 2,
+                          Q=[np.eye(3)] * 2, R=[[[1.0]]] * 2,
+                          transition=[[0.0, 1.0], [1.0, 0.0]],
+                          initial_distribution=[0.5, 0.5], x0=[1.0, 0.0, 0.0])
+        path = write_model(model, tmp_path)
+        out = tmp_path / "out"
+        assert main(["check", "--model", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "check.json").read_text())
+        assert report["open_loop"]["spectral_radius"] == \
+            pytest.approx(0.81, abs=1e-9)
+
+
+class TestImport:
+    def test_import_does_not_load_scipy(self):
+        # Every CLI call pays the package import; scipy alone costs more
+        # than numpy does.
+        import mjls
+        src = str(Path(mjls.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, mjls; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ,
+                                                 "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
