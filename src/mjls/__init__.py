@@ -51,8 +51,10 @@ from .riccati import (
 from .sim import (
     Trajectory,
     monte_carlo_cost,
+    rollout,
     sample_markov_chain,
     simulate_closed_loop,
+    simulate_trials,
     write_trajectory_csv,
 )
 from .stability import (

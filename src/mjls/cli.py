@@ -40,8 +40,7 @@ from .model import MjlsModel, load_model
 from .oracle import verification_report
 from .riccati import optimal_cost_finite, solve_care, solve_finite, \
     write_riccati_csv
-from .sim import monte_carlo_cost, sample_markov_chain, \
-    simulate_closed_loop, write_trajectory_csv
+from .sim import cost_statistics, simulate_trials, write_trajectory_csv
 from .stability import is_exactly_observable, is_mss, \
     propagate_second_moment, write_moment_csv
 
@@ -234,20 +233,9 @@ def cmd_simulate(args) -> int:
         raise InvalidInput("--trials must be at least 2")
     terminal = _terminal_matrices(args.terminal, model)
     sol = solve_finite(model, terminal, N)
-    policy = sol.policy()
-    trajectories = []
-    for trial in range(args.trials):
-        path = sample_markov_chain(
-            model.transition, model.initial_distribution, N,
-            np.random.SeedSequence(entropy=args.seed, spawn_key=(trial,)))
-        try:
-            trajectories.append(simulate_closed_loop(
-                model, policy, terminal, path=path))
-        except DivergedTrajectory as exc:
-            exc.trial = trial
-            raise
-    mean, stderr = monte_carlo_cost(model, policy, args.trials, args.seed,
-                                    N, terminal)
+    trajectories = simulate_trials(model, sol.policy(), args.trials,
+                                   args.seed, N, terminal)
+    mean, stderr = cost_statistics([t.total_cost for t in trajectories])
     out = _out_dir(args)
     write_trajectory_csv(trajectories, out / "trajectories.csv", model)
     _write_json({

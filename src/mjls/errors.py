@@ -62,7 +62,8 @@ class PreconditionFailed(MjlsError):
 
 
 class DivergedTrajectory(MjlsError):
-    """A simulated state became non-finite."""
+    """A rolled state became non-finite at ``step``; ``trial`` indexes the
+    first Monte Carlo trial or enumerated path through that state."""
 
     def __init__(self, message, step=None, trial=None):
         super().__init__(message)

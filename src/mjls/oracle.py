@@ -1,26 +1,30 @@
-"""Brute-force verification by exhaustive mode-path enumeration.
+"""Brute-force verification on the tree of mode prefixes.
 
 At small sizes every positive-probability mode sequence theta(0..N+1) can be
-enumerated with its exact probability.  States and controls are deterministic
-along each sequence, so expected costs, conditional costates, first-order
-stationarity of the optimal controller, and the completion-of-squares
-identity can all be evaluated exactly and compared against the Riccati
-solver — an independent check that shares none of its code path.
-
-Conditional expectations given the mode history up to stage k reduce to
-probability-weighted sums over the continuations of each path prefix.
+enumerated with its exact probability.  :func:`enumerate_paths` lists them
+as a tree with one level per stage: each history theta(0..k) appears once,
+with its mode, parent and probability.  States and controls are
+deterministic given the history, so one pass of :func:`mjls.sim.rollout`
+rolls every prefix once, and an expected cost sums prefix probability times
+stage cost.  The conditional costates follow from one backward pass (the
+tower property: each node sums its children, weighted by their transition
+probabilities).  Stationarity, the costate relation and the
+completion-of-squares identity are evaluated node by node against the
+Riccati solver -- an independent check that shares none of its code path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, TooLarge
-from .model import MjlsModel, Policy, mode_average
-from .riccati import FiniteHorizonSolution
+from .errors import InvalidInput, RiccatiBreakdown, TooLarge
+from .model import MjlsModel, Policy, coupled_average
+from .riccati import FiniteHorizonSolution, optimal_cost_finite, \
+    solve_finite
+from .sim import gain_stack, matvec, quad, rollout
 
 __all__ = [
     "PathEnsemble",
@@ -36,6 +40,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10 ** 6
+# Node-policy pairs per level in one batched roll: every policy of the
+# workload-sized trees shares one pass, and wide trees stay within tens of MB.
+BATCH_NODES = 2 ** 19
 
 
 @dataclass(eq=False)
@@ -43,11 +50,18 @@ class PathEnsemble:
     """Every positive-probability mode sequence theta(0..N+1).
 
     ``paths`` has shape (count, N+2); ``probabilities`` are the exact chain
-    probabilities and sum to one.
+    probabilities and sum to one.  Level k = 0..N+1 of the prefix tree holds
+    each history theta(0..k) once: its last mode ``modes[k]``, the index
+    ``parents[k]`` (k >= 1) of theta(0..k-1) at level k - 1 and its
+    probability ``weights[k]``.  Children come mode first, then in parent
+    order, so the last level lists the rows of ``paths``.
     """
 
     paths: np.ndarray
     probabilities: np.ndarray
+    modes: list = field(default_factory=list, repr=False)
+    parents: list = field(default_factory=list, repr=False)
+    weights: list = field(default_factory=list, repr=False)
 
     @property
     def horizon(self) -> int:
@@ -73,103 +87,77 @@ def enumerate_paths(model: MjlsModel, N: int,
     if total > cap:
         raise TooLarge(
             f"{L}**{N + 2} = {total} mode sequences exceed the cap {cap}")
-    pi0 = model.initial_distribution
-    lam = model.transition
+    pi0, lam = model.initial_distribution, model.transition
     start = np.nonzero(pi0 > 0.0)[0]
-    paths = start.reshape(-1, 1).astype(np.int64)
-    probs = pi0[start].astype(float)
+    modes, parents, weights = [start], [None], [pi0[start]]
     for _ in range(N + 1):
-        last = paths[:, -1]
-        chunks, pchunks = [], []
-        for j in range(L):
-            weight = lam[last, j]
-            keep = weight > 0.0
-            if not np.any(keep):
-                continue
-            ext = np.hstack([paths[keep],
-                             np.full((int(keep.sum()), 1), j, dtype=np.int64)])
-            chunks.append(ext)
-            pchunks.append(probs[keep] * weight[keep])
-        paths = np.vstack(chunks)
-        probs = np.concatenate(pchunks)
-    return PathEnsemble(paths=paths, probabilities=probs)
+        last = modes[-1]
+        mode, parent = np.nonzero(lam[last].T > 0.0)
+        modes.append(mode)
+        parents.append(parent)
+        weights.append(weights[-1][parent] * lam[last[parent], mode])
+    paths = np.empty((len(mode), N + 2), dtype=np.int64)
+    node = np.arange(len(mode))
+    for k in range(N + 1, -1, -1):
+        paths[:, k] = modes[k][node]
+        node = parents[k][node] if k else node
+    return PathEnsemble(paths, weights[-1], modes, parents, weights)
 
 
-def _terminal_from(sol_or_list, model):
-    term = []
-    for j, mat in enumerate(sol_or_list):
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (model.state_dim,) * 2:
+def _terminal_from(terminal, model):
+    """Per-mode terminal weights as an (L, n, n) stack; ``None`` is zero."""
+    n = model.state_dim
+    if terminal is None:
+        return np.zeros((model.mode_count, n, n))
+    term = [np.asarray(mat, dtype=float) for mat in terminal]
+    for j, mat in enumerate(term):
+        if mat.shape != (n, n):
             raise InvalidInput(f"terminal[{j}] has wrong shape {mat.shape}")
-        term.append(mat)
-    return term
+    return np.stack(term)
 
 
-def _roll_ensemble(model, policy, ensemble):
-    """States and controls along every path, vectorized over paths.
-
-    States depend only on the path prefix, so rolling each full path once
-    also yields every prefix's state sequence.
-    """
-    paths = ensemble.paths
-    count, length = paths.shape
-    N = length - 2
-    n, m = model.state_dim, model.input_dim
-    xs = np.zeros((count, N + 2, n))
-    us = np.zeros((count, N + 1, m))
-    xs[:, 0] = model.x0
-    for k in range(N + 1):
-        mk = paths[:, k]
-        for i in range(model.mode_count):
-            mask = mk == i
-            if not np.any(mask):
-                continue
-            x = xs[mask, k]
-            if policy is not None:
-                u = x @ policy.gain(k, i).T
-                us[mask, k] = u
-            else:
-                u = np.zeros((int(mask.sum()), m))
-            xs[mask, k + 1] = x @ model.A[i].T + u @ model.B[i].T
-    return xs, us
+def _expect(values, weights):
+    """Probability-weighted sum over a level's nodes: one pairwise sum per
+    policy row, whatever the number of policies in the batch."""
+    return np.ascontiguousarray(values.T * weights).sum(axis=1)
 
 
-def _path_costs(model, ensemble, xs, us, terminal):
-    paths = ensemble.paths
-    N = ensemble.horizon
-    costs = np.zeros(ensemble.count)
-    for k in range(N + 1):
-        mk = paths[:, k]
-        for i in range(model.mode_count):
-            mask = mk == i
-            if not np.any(mask):
-                continue
-            x, u = xs[mask, k], us[mask, k]
-            costs[mask] += (np.einsum("pa,ab,pb->p", x, model.Q[i], x)
-                            + np.einsum("pa,ab,pb->p", u, model.R[i], u))
-    last = paths[:, N + 1]
-    for j in range(model.mode_count):
-        mask = last == j
-        if np.any(mask):
-            x = xs[mask, N + 1]
-            costs[mask] += np.einsum("pa,ab,pb->p", x, terminal[j], x)
-    return costs
+def _tally(ensemble, levels, sol=None):
+    """Expected cost of each policy rolled in ``levels`` and, given ``sol``,
+    its expected Upsilon-weighted deviation from the optimal feedback."""
+    cost = excess = 0.0
+    for k, (x, u, stage, _) in enumerate(levels):
+        w = ensemble.weights[k]
+        cost = cost + _expect(stage, w)
+        if sol is not None and u is not None:
+            i = ensemble.modes[k]
+            dev = u - matvec(sol.K[k][i], x)
+            excess = excess + _expect(quad(dev, sol.Upsilon[k][i]), w)
+    return cost, np.broadcast_to(excess, cost.shape)
+
+
+def _tally_batch(model, ensemble, gains, terminal, sol=None):
+    """:func:`_tally` of a (P, N+1, L, m, n) gain stack, rolled in groups
+    that keep each level to at most ``BATCH_NODES`` node-policy pairs."""
+    step = max(1, BATCH_NODES // ensemble.count)
+    parts = [_tally(ensemble, rollout(model, gains[lo:lo + step],
+                                      ensemble.modes, ensemble.parents,
+                                      terminal), sol)
+             for lo in range(0, len(gains), step)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def exact_cost(model: MjlsModel, policy: Policy | None, N: int,
                terminal=None, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Expected cost of a policy, exact up to roundoff.
 
-    Sums prob(path) * cost(path) over the full ensemble; combined in fixed
-    path order so the value is reproducible.
+    Sums prob(prefix) * stage cost over every node of the prefix tree, in
+    fixed tree order so the value is reproducible.
     """
     ensemble = enumerate_paths(model, N, cap=cap)
-    if terminal is None:
-        terminal = [np.zeros((model.state_dim,) * 2)] * model.mode_count
-    terminal = _terminal_from(terminal, model)
-    xs, us = _roll_ensemble(model, policy, ensemble)
-    costs = _path_costs(model, ensemble, xs, us, terminal)
-    return float(ensemble.probabilities @ costs)
+    cost, _ = _tally_batch(model, ensemble, gain_stack(model, policy, N),
+                           _terminal_from(terminal, model))
+    return float(cost[0])
 
 
 @dataclass(eq=False)
@@ -189,41 +177,32 @@ class CostateSequence:
         return len(self.eta) - 1
 
 
-def _pathwise_costate(model, ensemble, xs, terminal):
-    """Backward accumulation of the per-path costate integrand.
+def _costate_pass(model, policy, N, terminal, cap):
+    """Enumerate, roll ``policy`` once keeping every level, and form the
+    conditional costates eta(k), (nodes, n, 1), at every level k = 0..N.
 
-    For one fixed path the costate definition telescopes:
-    the stage-N value is P_term[theta(N+1)] x(N+1) and each earlier stage
-    adds Q[theta(k+1)] x(k+1) and pushes through A[theta(k+1)]'.
+    For one path the costate definition telescopes: the stage-N value is
+    P_term[theta(N+1)] x(N+1), and each earlier stage adds
+    Q[theta(k+1)] x(k+1) and pushes through A[theta(k+1)]'.  By the tower
+    property the expectation given theta(0..k) is the transition-weighted
+    sum of those terms over the node's children: one backward pass.
     """
-    paths = ensemble.paths
-    N = ensemble.horizon
-    count = ensemble.count
-    n = model.state_dim
-    eta = np.zeros((count, N + 1, n))
-    last = paths[:, N + 1]
-    for j in range(model.mode_count):
-        mask = last == j
-        if np.any(mask):
-            eta[mask, N] = xs[mask, N + 1] @ terminal[j].T
-    for k in range(N - 1, -1, -1):
-        nxt = paths[:, k + 1]
-        for i in range(model.mode_count):
-            mask = nxt == i
-            if not np.any(mask):
-                continue
-            eta[mask, k] = (xs[mask, k + 1] @ model.Q[i].T
-                            + eta[mask, k + 1] @ model.A[i])
-    return eta
-
-
-def _prefix_groups(paths, k):
-    """Group path indices by their prefix theta(0..k)."""
-    _, inverse = np.unique(paths[:, :k + 1], axis=0, return_inverse=True)
-    groups = {}
-    for idx, g in enumerate(inverse):
-        groups.setdefault(int(g), []).append(idx)
-    return groups
+    ensemble = enumerate_paths(model, N, cap=cap)
+    terminal = _terminal_from(terminal, model)
+    levels = list(rollout(model, gain_stack(model, policy, N),
+                          ensemble.modes, ensemble.parents, terminal))
+    modes, parents = ensemble.modes, ensemble.parents
+    value = matvec(terminal[modes[N + 1]], levels[N][3][parents[N + 1]])
+    eta = [None] * (N + 1)
+    for k in range(N, -1, -1):
+        parent, i = parents[k + 1], modes[k]
+        lam = model.transition[i[parent], modes[k + 1]]
+        eta[k] = np.stack([
+            np.bincount(parent, lam * value[:, a, 0], len(i))
+            for a in range(model.state_dim)], axis=1)[..., None]
+        value = (matvec(model.Q[i], levels[k][0])
+                 + matvec(model.A[i].transpose(0, 2, 1), eta[k]))
+    return ensemble, levels, eta
 
 
 def costate_from_definition(model: MjlsModel, policy: Policy | None, N: int,
@@ -233,28 +212,31 @@ def costate_from_definition(model: MjlsModel, policy: Policy | None, N: int,
     """Costates from their defining conditional expectation.
 
     For each stage k and each positive-probability mode history theta(0..k),
-    averages the pathwise costate integrand over the continuations, weighted
-    by conditional path probabilities.
+    the expected pathwise costate integrand over the continuations, formed
+    by one backward pass over the prefix tree.
     """
-    ensemble = enumerate_paths(model, N, cap=cap)
-    if terminal is None:
-        terminal = [np.zeros((model.state_dim,) * 2)] * model.mode_count
-    terminal = _terminal_from(terminal, model)
-    xs, _ = _roll_ensemble(model, policy, ensemble)
-    integrand = _pathwise_costate(model, ensemble, xs, terminal)
-    probs = ensemble.probabilities
-    eta_tables, state_tables = [], []
+    ensemble, levels, eta = _costate_pass(model, policy, N, terminal, cap)
+    seq = CostateSequence(eta=[], state=[])
+    prefix = ensemble.modes[0][:, None]
     for k in range(N + 1):
-        table, states = {}, {}
-        for members in _prefix_groups(ensemble.paths, k).values():
-            members = np.asarray(members)
-            weight = probs[members]
-            key = tuple(int(v) for v in ensemble.paths[members[0], :k + 1])
-            table[key] = weight @ integrand[members, k] / float(weight.sum())
-            states[key] = xs[members[0], k + 1]
-        eta_tables.append(table)
-        state_tables.append(states)
-    return CostateSequence(eta=eta_tables, state=state_tables)
+        if k:
+            prefix = np.hstack([prefix[ensemble.parents[k]],
+                                ensemble.modes[k][:, None]])
+        keys = list(map(tuple, prefix.tolist()))
+        seq.eta.append(dict(zip(keys, eta[k][..., 0])))
+        seq.state.append(dict(zip(keys, levels[k][3][..., 0])))
+    return seq
+
+
+def _stationarity(model, ensemble, levels, eta):
+    """Largest norm of B' eta(k) + R u(k) over every node of every level."""
+    worst = 0.0
+    for k, eta_k in enumerate(eta):
+        i = ensemble.modes[k]
+        residual = (matvec(model.B[i].transpose(0, 2, 1), eta_k)
+                    + matvec(model.R[i], levels[k][1]))
+        worst = max(worst, float(np.linalg.norm(residual, axis=1).max()))
+    return worst
 
 
 def stationarity_residual(model: MjlsModel, policy: Policy, N: int,
@@ -266,25 +248,27 @@ def stationarity_residual(model: MjlsModel, policy: Policy, N: int,
     both factors are determined by the prefix, so the residual is the largest
     norm of that expression over all stages and prefixes.
     """
-    ensemble = enumerate_paths(model, N, cap=cap)
-    if terminal is None:
-        terminal = [np.zeros((model.state_dim,) * 2)] * model.mode_count
-    terminal = _terminal_from(terminal, model)
-    xs, us = _roll_ensemble(model, policy, ensemble)
-    integrand = _pathwise_costate(model, ensemble, xs, terminal)
-    probs = ensemble.probabilities
+    return _stationarity(model,
+                         *_costate_pass(model, policy, N, terminal, cap))
+
+
+def _relation(model, sol, ensemble, levels, eta):
+    """Largest gap between eta(k) and W(k)[theta(k)] x(k+1), normalized."""
     worst = 0.0
-    for k in range(N + 1):
-        for members in _prefix_groups(ensemble.paths, k).values():
-            members = np.asarray(members)
-            weight = probs[members]
-            eta_k = weight @ integrand[members, k] / float(weight.sum())
-            rep = members[0]
-            i = int(ensemble.paths[rep, k])
-            u = us[rep, k]
-            residual = model.B[i].T @ eta_k + model.R[i] @ u
-            worst = max(worst, float(np.linalg.norm(residual)))
+    for k, eta_k in enumerate(eta):
+        W = coupled_average(sol.P[k + 1], model.transition)
+        reference = matvec(W[ensemble.modes[k]], levels[k][3])
+        gap = (np.linalg.norm(eta_k - reference, axis=1)
+               / (1.0 + np.linalg.norm(reference, axis=1)))
+        worst = max(worst, float(gap.max()))
     return worst
+
+
+def _require_solution(sol, N):
+    if not sol.solvable:
+        raise InvalidInput("need a solvable finite-horizon solution")
+    if sol.horizon != N:
+        raise InvalidInput("solution horizon does not match N")
 
 
 def costate_relation_residual(model: MjlsModel, sol: FiniteHorizonSolution,
@@ -297,21 +281,15 @@ def costate_relation_residual(model: MjlsModel, sol: FiniteHorizonSolution,
     eta(k) = (sum_j transition[theta(k), j] P[j](k+1)) x(k+1).
     Residuals are normalized by (1 + ||reference||).
     """
-    if not sol.solvable:
-        raise InvalidInput("need a solvable finite-horizon solution")
-    if sol.horizon != N:
-        raise InvalidInput("solution horizon does not match N")
-    seq = costate_from_definition(model, sol.policy(), N,
-                                  terminal=sol.P[N + 1], cap=cap)
-    worst = 0.0
-    for k in range(N + 1):
-        for key, eta_k in seq.eta[k].items():
-            i = key[-1]
-            reference = mode_average(sol.P[k + 1], i,
-                                     model.transition) @ seq.state[k][key]
-            gap = float(np.linalg.norm(eta_k - reference))
-            worst = max(worst, gap / (1.0 + float(np.linalg.norm(reference))))
-    return worst
+    _require_solution(sol, N)
+    return _relation(model, sol, *_costate_pass(
+        model, sol.policy(), N, sol.P[N + 1], cap))
+
+
+def _decomposition(model, sol, lhs, excess):
+    lhs = float(lhs)
+    rhs = optimal_cost_finite(sol, model) + float(excess)
+    return lhs, rhs, abs(lhs - rhs)
 
 
 def decomposition_check(model: MjlsModel, policy: Policy, N: int,
@@ -329,31 +307,21 @@ def decomposition_check(model: MjlsModel, policy: Policy, N: int,
     Returns ``(lhs, rhs, gap)`` where lhs is the enumerated cost of
     ``policy`` with the solution's terminal weight.
     """
-    if not sol.solvable:
-        raise InvalidInput("need a solvable finite-horizon solution")
-    if sol.horizon != N:
-        raise InvalidInput("solution horizon does not match N")
+    _require_solution(sol, N)
     ensemble = enumerate_paths(model, N, cap=cap)
-    terminal = _terminal_from(sol.P[N + 1], model)
-    xs, us = _roll_ensemble(model, policy, ensemble)
-    costs = _path_costs(model, ensemble, xs, us, terminal)
-    lhs = float(ensemble.probabilities @ costs)
+    cost, excess = _tally_batch(model, ensemble,
+                                gain_stack(model, policy, N),
+                                _terminal_from(sol.P[N + 1], model), sol)
+    return _decomposition(model, sol, cost[0], excess[0])
 
-    excess = np.zeros(ensemble.count)
-    for k in range(N + 1):
-        mk = ensemble.paths[:, k]
-        for i in range(model.mode_count):
-            mask = mk == i
-            if not np.any(mask):
-                continue
-            dev = us[mask, k] - xs[mask, k] @ sol.K[k][i].T
-            excess[mask] += np.einsum(
-                "pa,ab,pb->p", dev, sol.Upsilon[k][i], dev)
-    x0, pi0 = model.x0, model.initial_distribution
-    value = float(sum(pi0[i] * x0 @ sol.P[0][i] @ x0
-                      for i in range(model.mode_count)))
-    rhs = value + float(ensemble.probabilities @ excess)
-    return lhs, rhs, abs(lhs - rhs)
+
+def _perturbed_gains(sol, count, scale, seed):
+    """``count`` copies of the optimal staged gains, every entry perturbed
+    uniformly within ``scale``; the draws run copy by copy, stage by stage,
+    mode by mode."""
+    gains = sol.policy().gains
+    rng = np.random.default_rng(seed)
+    return gains + rng.uniform(-scale, scale, size=(count,) + gains.shape)
 
 
 def perturbation_optimality(model: MjlsModel, sol: FiniteHorizonSolution,
@@ -365,23 +333,13 @@ def perturbation_optimality(model: MjlsModel, sol: FiniteHorizonSolution,
     returns min(perturbed cost - optimal cost); a genuine optimum keeps this
     nonnegative up to roundoff.  ``count=0`` returns +inf (vacuous pass).
     """
-    if not sol.solvable:
-        raise InvalidInput("need a solvable finite-horizon solution")
-    if sol.horizon != N:
-        raise InvalidInput("solution horizon does not match N")
-    terminal = sol.P[N + 1]
-    base = exact_cost(model, sol.policy(), N, terminal=terminal, cap=cap)
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(count):
-        staged = [[sol.K[k][i]
-                   + rng.uniform(-scale, scale, size=sol.K[k][i].shape)
-                   for i in range(model.mode_count)]
-                  for k in range(N + 1)]
-        perturbed = exact_cost(model, Policy.from_stages(staged), N,
-                               terminal=terminal, cap=cap)
-        worst = min(worst, perturbed - base)
-    return worst
+    _require_solution(sol, N)
+    ensemble = enumerate_paths(model, N, cap=cap)
+    gains = np.concatenate([sol.policy().gains[None],
+                            _perturbed_gains(sol, count, scale, seed)])
+    cost, _ = _tally_batch(model, ensemble, gains,
+                           _terminal_from(sol.P[N + 1], model))
+    return float(np.min(cost[1:] - cost[0], initial=math.inf))
 
 
 def verification_report(model: MjlsModel, N: int, terminal, *, seed=0,
@@ -393,10 +351,11 @@ def verification_report(model: MjlsModel, N: int, terminal, *, seed=0,
 
     Returns ``{"checks": [{name, residual, tolerance, passed}...],
     "passed": bool}``.  Residuals are normalized by (1 + |reference|) so the
-    stated tolerances survive large initial states.
+    stated tolerances survive large initial states.  The paths are
+    enumerated once; one roll of the optimal policy serves its cost,
+    costates, stationarity and decomposition, and one batched roll serves
+    the arbitrary policy and every perturbation.
     """
-    from .riccati import optimal_cost_finite, solve_finite
-
     checks = []
 
     def record(name, residual, tolerance):
@@ -404,9 +363,6 @@ def verification_report(model: MjlsModel, N: int, terminal, *, seed=0,
                  "tolerance": float(tolerance),
                  "passed": bool(residual <= tolerance)}
         checks.append(entry)
-        return entry["passed"]
-
-    from .errors import RiccatiBreakdown
 
     try:
         sol = solve_finite(model, terminal, N)
@@ -416,33 +372,36 @@ def verification_report(model: MjlsModel, N: int, terminal, *, seed=0,
     record("finite-horizon solve", 0.0, 0.0)
 
     value = optimal_cost_finite(sol, model)
-    policy = sol.policy()
-    enumerated = exact_cost(model, policy, N, terminal=sol.P[N + 1], cap=cap)
+    terminal = sol.P[N + 1]
+    ensemble, levels, eta = _costate_pass(model, sol.policy(), N, terminal,
+                                          cap)
+    cost, excess = _tally(ensemble, levels, sol)
+    enumerated = float(cost[0])
     record("optimal cost equals enumerated cost",
            abs(enumerated - value) / (1.0 + abs(value)), rel_tol)
 
     record("costate matches transition-weighted cost-to-go",
-           costate_relation_residual(model, sol, N, cap=cap), costate_tol)
+           _relation(model, sol, ensemble, levels, eta), costate_tol)
 
     record("first-order stationarity at the optimum",
-           stationarity_residual(model, policy, N, terminal=sol.P[N + 1],
-                                 cap=cap) / (1.0 + abs(value)), rel_tol)
+           _stationarity(model, ensemble, levels, eta) / (1.0 + abs(value)),
+           rel_tol)
 
-    lhs, _, gap = decomposition_check(model, policy, N, sol, cap=cap)
+    lhs, _, gap = _decomposition(model, sol, cost[0], excess[0])
     record("cost decomposition at the optimum",
            gap / (1.0 + abs(lhs)), rel_tol)
 
-    rng = np.random.default_rng(seed)
-    random_policy = Policy.stationary(
-        [rng.uniform(-1.0, 1.0, size=(model.input_dim, model.state_dim))
-         for _ in range(model.mode_count)])
-    lhs, _, gap = decomposition_check(model, random_policy, N, sol, cap=cap)
+    shape = sol.policy().gains.shape
+    random_gains = np.random.default_rng(seed).uniform(-1.0, 1.0, shape[1:])
+    gains = np.concatenate([
+        np.broadcast_to(random_gains, (1,) + shape),
+        _perturbed_gains(sol, perturbations, perturbation_scale, seed)])
+    cost, excess = _tally_batch(model, ensemble, gains, terminal, sol)
+    lhs, _, gap = _decomposition(model, sol, cost[0], excess[0])
     record("cost decomposition for an arbitrary policy",
            gap / (1.0 + abs(lhs)), rel_tol)
 
-    decrease = perturbation_optimality(
-        model, sol, N, count=perturbations, scale=perturbation_scale,
-        seed=seed, cap=cap)
+    decrease = float(np.min(cost[1:] - enumerated, initial=math.inf))
     shortfall = 0.0 if math.isinf(decrease) else max(0.0, -decrease)
     record("no gain perturbation improves the cost",
            shortfall / (1.0 + abs(value)), 1e-10)

@@ -1,4 +1,14 @@
-"""Markov chain sampling, closed-loop rollout, and Monte Carlo costing.
+"""Markov chain sampling, the rollout kernel, and Monte Carlo costing.
+
+One kernel, :func:`rollout`, rolls x(k+1) = A x(k) + B u(k) under
+u(k) = F_k[theta(k)] x(k) over a tree of mode prefixes, one level per
+stage: a node is one history theta(0..k), with its mode and its parent at
+level k - 1.  A state depends only on the history before it, so each node
+is rolled once for all its continuations.  Monte Carlo trials form the flat
+tree (each node its own parent); :mod:`mjls.oracle` rolls the tree of every
+positive-probability history.  Per-node matrices are gathered from the
+stacked model and gain arrays, and every product is a fixed sequence of
+elementwise operations, so a node's numbers do not depend on its batch.
 
 Sampling is deterministic given a seed: modes are drawn by inverse CDF over
 the cumulative transition row (ascending mode order, so ties at probability
@@ -9,7 +19,6 @@ runs agree bitwise.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,20 +30,29 @@ from .model import MjlsModel, Policy
 __all__ = [
     "Trajectory",
     "sample_markov_chain",
+    "rollout",
     "simulate_closed_loop",
+    "simulate_trials",
     "monte_carlo_cost",
     "write_trajectory_csv",
 ]
 
 
-def _rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def _inverse_cdf(transition, pi0, uniforms):
+    """One mode path theta(0..N+1) per row of a (rows, N+2) uniform block.
 
-
-def _trial_seed(seed, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+    (cum <= u).sum() is right-sided ``searchsorted`` on each cumulative row.
+    """
+    L = len(pi0)
+    cum_rows = np.cumsum(transition, axis=1)
+    modes = np.empty(uniforms.shape, dtype=np.int64)
+    modes[:, 0] = np.minimum(
+        (np.cumsum(pi0) <= uniforms[:, :1]).sum(axis=1), L - 1)
+    for k in range(uniforms.shape[1] - 1):
+        modes[:, k + 1] = np.minimum(
+            (cum_rows[modes[:, k]] <= uniforms[:, k + 1, None]).sum(axis=1),
+            L - 1)
+    return modes
 
 
 def sample_markov_chain(transition, initial_distribution, N: int, seed):
@@ -49,17 +67,105 @@ def sample_markov_chain(transition, initial_distribution, N: int, seed):
         raise InvalidInput("transition shape does not match distribution")
     if N < 0:
         raise InvalidInput("horizon must be nonnegative")
-    rng = _rng(seed)
-    cum_rows = np.cumsum(transition, axis=1)
-    cum_pi = np.cumsum(pi0)
-    path = np.empty(N + 2, dtype=np.int64)
-    path[0] = min(int(np.searchsorted(cum_pi, rng.random(), side="right")),
-                  L - 1)
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else np.random.default_rng(seed))
+    return _inverse_cdf(transition, pi0, rng.random((1, N + 2)))[0]
+
+
+def _sample_trials(model, first, trials, seed, N):
+    """Mode paths of trials [first, first + trials) as a (trials, N+2) array.
+
+    Trial t draws the same uniforms from its (seed, t) stream as
+    :func:`sample_markov_chain`, so the paths match it draw for draw.
+    """
+    uniforms = np.empty((trials, N + 2))
+    for t in range(trials):
+        uniforms[t] = np.random.default_rng(np.random.SeedSequence(
+            entropy=seed, spawn_key=(first + t,))).random(N + 2)
+    return _inverse_cdf(model.transition, model.initial_distribution,
+                        uniforms)
+
+
+def matvec(M, v):
+    """Per-node products M v, (nodes, a, P), for v of shape (nodes, b, P)
+    and M (nodes, a, b), shared by the P policies, or (nodes, a, b, P).  The
+    sum over b is a fixed sequence of elementwise operations, so a result
+    does not depend on the batch its node and policy sit in."""
+    if M.ndim == 3:
+        M = M[..., None]
+    out = M[:, :, 0] * v[:, None, 0]
+    for b in range(1, v.shape[1]):
+        out += M[:, :, b] * v[:, None, b]
+    return out
+
+
+def quad(v, M):
+    """Per-node quadratic forms v' M v, (nodes, P), as :func:`matvec`."""
+    w = matvec(M, v)
+    out = v[:, 0] * w[:, 0]
+    for a in range(1, v.shape[1]):
+        out += v[:, a] * w[:, a]
+    return out
+
+
+def gain_stack(model: MjlsModel, policy: Policy | None, N: int):
+    """A policy's gains for stages 0..N as the (1, N+1, L, m, n) stack that
+    :func:`rollout` takes; ``None`` is the open loop u = 0."""
+    if policy is not None and policy.staged:
+        if policy.horizon < N:
+            raise InvalidInput(
+                f"staged policy horizon {policy.horizon} shorter than {N}")
+        return policy.gains[None, :N + 1]
+    gains = (np.zeros((model.mode_count, model.input_dim, model.state_dim))
+             if policy is None else policy.gains)
+    return np.broadcast_to(gains, (1, N + 1) + gains.shape)
+
+
+def rollout(model: MjlsModel, gains, modes, parents=None, terminal=None):
+    """Roll the closed loop level by level over a tree of mode prefixes.
+
+    ``modes[k]`` holds theta(k) at every node of level k = 0..N+1 and
+    ``parents[k]`` (k >= 1; entry 0 is unused) the index of each node's
+    parent at level k - 1; ``parents=None`` is the flat tree of independent
+    trials.  ``gains`` stacks the feedback of P policies rolled together as
+    (P, N+1, L, m, n) (see :func:`gain_stack`); ``terminal`` holds one
+    weight per mode (``None``: zero).
+
+    Yields ``(x, u, cost, x_next)`` for each level k = 0..N: states x(k)
+    (nodes, n, P), controls (nodes, m, P), stage costs (nodes, P) and
+    successors x(k+1); then ``(None, None, cost, None)`` with the terminal
+    cost at every node of level N+1.  Raises :class:`DivergedTrajectory` at
+    the first step whose state is not finite; its ``trial`` is the first
+    trial, or leaf of the tree, that passes through that state.
+    """
+    L, n = model.mode_count, model.state_dim
+    N = len(modes) - 2
+    table = np.moveaxis(gains, 0, -1)
+    x = np.broadcast_to(model.x0[:, None], (len(modes[0]), n, len(gains)))
     for k in range(N + 1):
-        u = rng.random()
-        path[k + 1] = min(
-            int(np.searchsorted(cum_rows[path[k]], u, side="right")), L - 1)
-    return path
+        i = modes[k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = matvec(table[k][i], x)
+            cost = quad(x, model.Q[i]) + quad(u, model.R[i])
+            nxt = matvec(model.A[i], x) + matvec(model.B[i], u)
+        if not np.isfinite(nxt).all():
+            bad = ~np.isfinite(nxt).all(axis=(1, 2))
+            for parent in (parents or [])[k + 1:]:
+                bad = bad[parent]
+            raise DivergedTrajectory(
+                f"state became non-finite at step {k + 1}",
+                step=k + 1, trial=int(np.argmax(bad)))
+        yield x, u, cost, nxt
+        x = nxt if parents is None else nxt[parents[k + 1]]
+    terminal = (np.zeros((L, n, n)) if terminal is None
+                else np.asarray(terminal, dtype=float))
+    # One form per parent node and leaf mode: leaves share their parent's
+    # state, so no state is gathered onto the widest level.
+    with np.errstate(over="ignore", invalid="ignore"):
+        forms = np.stack([quad(nxt, np.broadcast_to(mat, (len(nxt), n, n)))
+                          for mat in terminal], axis=1)
+    leaf = np.arange(len(nxt)) if parents is None else parents[N + 1]
+    yield None, None, forms[leaf, modes[N + 1]], None
 
 
 @dataclass(eq=False)
@@ -82,6 +188,31 @@ class Trajectory:
         return len(self.modes) - 2
 
 
+def _check_rollout_args(model, policy, N, terminal):
+    model.ensure_valid()
+    if N < 0:
+        raise InvalidInput("horizon must be nonnegative")
+    if terminal is not None and len(terminal) != model.mode_count:
+        raise InvalidInput(f"expected {model.mode_count} terminal matrices")
+    return gain_stack(model, policy, N)
+
+
+def _trajectories(model, gains, modes, terminal):
+    """One :class:`Trajectory` per row of a (trials, N+2) mode array."""
+    *stages, (_, _, term, _) = rollout(model, gains, modes.T,
+                                       terminal=terminal)
+    xs, us, costs, nxts = zip(*stages)
+    states = np.stack(xs + nxts[-1:], axis=1)[..., 0]
+    controls = np.stack(us, axis=1)[..., 0]
+    stage_costs = np.stack(costs, axis=1)[..., 0]
+    totals = sum(costs, 0.0) + term
+    return [Trajectory(modes=modes[t], states=states[t],
+                       controls=controls[t], stage_costs=stage_costs[t],
+                       terminal_cost=float(term[t, 0]),
+                       total_cost=float(totals[t, 0]))
+            for t in range(len(modes))]
+
+
 def simulate_closed_loop(model: MjlsModel, policy: Policy | None,
                          terminal=None, *, path=None, seed=None,
                          N: int | None = None) -> Trajectory:
@@ -91,8 +222,6 @@ def simulate_closed_loop(model: MjlsModel, policy: Policy | None,
     ``N`` to sample one.  ``policy=None`` runs the loop open (u = 0);
     ``terminal=None`` means no terminal penalty.
     """
-    model.ensure_valid()
-    L, n, m = model.mode_count, model.state_dim, model.input_dim
     if path is None:
         if seed is None or N is None:
             raise InvalidInput("need either a mode path or (seed, N)")
@@ -101,99 +230,29 @@ def simulate_closed_loop(model: MjlsModel, policy: Policy | None,
     path = np.asarray(path, dtype=np.int64)
     if path.ndim != 1 or path.shape[0] < 2:
         raise InvalidInput("mode path must hold at least two entries")
-    if path.min() < 0 or path.max() >= L:
+    if path.min() < 0 or path.max() >= model.mode_count:
         raise InvalidInput("mode path contains out-of-range modes")
-    N = path.shape[0] - 2
-    if policy is not None and policy.staged and policy.horizon < N:
-        raise InvalidInput(
-            f"staged policy horizon {policy.horizon} shorter than {N}")
-    if terminal is not None and len(terminal) != L:
-        raise InvalidInput(f"expected {L} terminal matrices")
-
-    states = np.zeros((N + 2, n))
-    controls = np.zeros((N + 1, m))
-    stage_costs = np.zeros(N + 1)
-    states[0] = model.x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N + 1):
-            i = path[k]
-            x = states[k]
-            u = np.zeros(m) if policy is None else policy.gain(k, i) @ x
-            controls[k] = u
-            stage_costs[k] = float(x @ model.Q[i] @ x + u @ model.R[i] @ u)
-            nxt = model.A[i] @ x + model.B[i] @ u
-            if not np.all(np.isfinite(nxt)):
-                raise DivergedTrajectory(
-                    f"state became non-finite at step {k + 1}", step=k + 1)
-            states[k + 1] = nxt
-    j = path[N + 1]
-    if terminal is None:
-        terminal_cost = 0.0
-    else:
-        Pt = np.asarray(terminal[j], dtype=float)
-        terminal_cost = float(states[N + 1] @ Pt @ states[N + 1])
-    total = float(np.sum(stage_costs) + terminal_cost)
-    return Trajectory(modes=path, states=states, controls=controls,
-                      stage_costs=stage_costs, terminal_cost=terminal_cost,
-                      total_cost=total)
+    gains = _check_rollout_args(model, policy, path.shape[0] - 2, terminal)
+    return _trajectories(model, gains, path[None], terminal)[0]
 
 
-def _batch_costs(model, policy, trials, trial_offset, seed, N, terminal):
-    """Rollout costs for trials [offset, offset + trials), batched.
+def simulate_trials(model: MjlsModel, policy: Policy | None, trials: int,
+                    seed, N: int, terminal=None) -> list:
+    """Sample and roll trials 0..trials-1 in one batch.
 
-    Trial t draws exactly the uniforms that :func:`sample_markov_chain`
-    would draw from its (seed, t) stream, so the sampled mode paths match
-    the single-trajectory API draw for draw.
+    Trial t follows the mode path that :func:`sample_markov_chain` draws
+    from ``SeedSequence(entropy=seed, spawn_key=(t,))``, and its
+    ``total_cost`` is the value :func:`monte_carlo_cost` averages.
     """
-    L, n, m = model.mode_count, model.state_dim, model.input_dim
-    uniforms = np.empty((trials, N + 2))
-    for t in range(trials):
-        gen = np.random.default_rng(_trial_seed(seed, trial_offset + t))
-        uniforms[t] = gen.random(N + 2)
-    cum_rows = np.cumsum(model.transition, axis=1)
-    cum_pi = np.cumsum(model.initial_distribution)
-    modes = np.empty((trials, N + 2), dtype=np.int64)
-    # (cum <= u).sum() reproduces right-sided searchsorted on each row.
-    modes[:, 0] = np.minimum(
-        (cum_pi[None, :] <= uniforms[:, 0, None]).sum(axis=1), L - 1)
-    for k in range(N + 1):
-        rows = cum_rows[modes[:, k]]
-        modes[:, k + 1] = np.minimum(
-            (rows <= uniforms[:, k + 1, None]).sum(axis=1), L - 1)
+    gains = _check_rollout_args(model, policy, N, terminal)
+    modes = _sample_trials(model, 0, trials, seed, N)
+    return _trajectories(model, gains, modes, terminal)
 
-    x = np.tile(model.x0, (trials, 1))
-    costs = np.zeros(trials)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N + 1):
-            mk = modes[:, k]
-            nxt = np.empty_like(x)
-            for i in range(L):
-                mask = mk == i
-                if not np.any(mask):
-                    continue
-                xi = x[mask]
-                if policy is None:
-                    ui = np.zeros((int(mask.sum()), m))
-                else:
-                    ui = xi @ policy.gain(k, i).T
-                costs[mask] += (np.einsum("pa,ab,pb->p", xi, model.Q[i], xi)
-                                + np.einsum("pa,ab,pb->p", ui, model.R[i], ui))
-                nxt[mask] = xi @ model.A[i].T + ui @ model.B[i].T
-            if not np.all(np.isfinite(nxt)):
-                bad = int(np.nonzero(~np.isfinite(nxt).all(axis=1))[0][0])
-                raise DivergedTrajectory(
-                    f"state became non-finite at step {k + 1}",
-                    step=k + 1, trial=trial_offset + bad)
-            x = nxt
-        if terminal is not None:
-            last = modes[:, N + 1]
-            for j in range(L):
-                mask = last == j
-                if np.any(mask):
-                    Pt = np.asarray(terminal[j], dtype=float)
-                    costs[mask] += np.einsum(
-                        "pa,ab,pb->p", x[mask], Pt, x[mask])
-    return costs
+
+def cost_statistics(costs):
+    """Sample mean and standard error of per-trial costs."""
+    return (float(np.mean(costs)),
+            float(np.std(costs, ddof=1) / np.sqrt(len(costs))))
 
 
 def monte_carlo_cost(model: MjlsModel, policy: Policy | None, trials: int,
@@ -201,39 +260,33 @@ def monte_carlo_cost(model: MjlsModel, policy: Policy | None, trials: int,
     """Sample mean and standard error of the rollout cost.
 
     Trial t draws its own stream from (seed, t); trials are processed in
-    contiguous chunks (one per worker) whose costs land in a shared array by
-    trial index, and the mean uses numpy's pairwise summation over that fixed
+    contiguous chunks (one per worker) whose costs are joined in trial
+    order, and the mean uses numpy's pairwise summation over that fixed
     order, so the result does not depend on the worker count.
     """
-    model.ensure_valid()
     if trials < 2:
         raise InvalidInput("at least two trials are needed")
-    if N < 0:
-        raise InvalidInput("horizon must be nonnegative")
-    if policy is not None and policy.staged and policy.horizon < N:
-        raise InvalidInput(
-            f"staged policy horizon {policy.horizon} shorter than {N}")
-    if terminal is not None and len(terminal) != model.mode_count:
-        raise InvalidInput(f"expected {model.mode_count} terminal matrices")
-    costs = np.empty(trials)
-    if workers <= 1:
-        costs[:] = _batch_costs(model, policy, trials, 0, seed, N, terminal)
-    else:
-        bounds = np.linspace(0, trials, workers + 1).astype(int)
-        chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])
-                  if hi > lo]
+    gains = _check_rollout_args(model, policy, N, terminal)
 
-        def run(span):
-            lo, hi = span
-            return lo, hi, _batch_costs(
-                model, policy, hi - lo, lo, seed, N, terminal)
+    def run(span):
+        lo, hi = span
+        modes = _sample_trials(model, lo, hi - lo, seed, N)
+        total = 0.0
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _, _, cost, _ in rollout(model, gains, modes.T,
+                                             terminal=terminal):
+                    total = total + cost[:, 0]
+        except DivergedTrajectory as exc:
+            exc.trial += lo
+            raise
+        return total
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for lo, hi, values in pool.map(run, chunks):
-                costs[lo:hi] = values
-    mean = float(np.mean(costs))
-    stderr = float(np.std(costs, ddof=1) / np.sqrt(trials))
-    return mean, stderr
+    bounds = np.linspace(0, trials, max(workers, 1) + 1).astype(int)
+    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])
+             if hi > lo]
+    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+        return cost_statistics(np.concatenate(list(pool.map(run, spans))))
 
 
 def write_trajectory_csv(trajectories, path, model: MjlsModel):
@@ -242,7 +295,8 @@ def write_trajectory_csv(trajectories, path, model: MjlsModel):
     Columns: ``trial, k, mode, x_1..x_n, u_1..u_m, stage_cost``.  The final
     row of each trial (k = N+1) carries the terminal state; its control
     columns are empty and its ``stage_cost`` column holds the terminal
-    penalty, so each trial's column sum reproduces the total cost.
+    penalty, so each trial's column sum reproduces the total cost.  Floats
+    are written with ``repr`` and rows end in CRLF, as ``csv.writer`` does.
     """
     n, m = model.state_dim, model.input_dim
     header = (["trial", "k", "mode"]
@@ -250,17 +304,13 @@ def write_trajectory_csv(trajectories, path, model: MjlsModel):
               + [f"u_{d + 1}" for d in range(m)]
               + ["stage_cost"])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for trial, traj in enumerate(trajectories):
-            N = traj.horizon
-            for k in range(N + 2):
-                row = [trial, k, int(traj.modes[k])]
-                row += [repr(float(v)) for v in traj.states[k]]
-                if k <= N:
-                    row += [repr(float(v)) for v in traj.controls[k]]
-                    row += [repr(float(traj.stage_costs[k]))]
-                else:
-                    row += [""] * m
-                    row += [repr(float(traj.terminal_cost))]
-                writer.writerow(row)
+            tails = [list(map(repr, u)) + [repr(c)] for u, c in zip(
+                traj.controls.tolist(), traj.stage_costs.tolist())]
+            tails.append([""] * m + [repr(float(traj.terminal_cost))])
+            fh.write("".join(
+                ",".join([str(trial), str(k), str(mode)]
+                         + list(map(repr, x)) + tail) + "\r\n"
+                for k, (mode, x, tail) in enumerate(zip(
+                    traj.modes.tolist(), traj.states.tolist(), tails))))

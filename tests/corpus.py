@@ -5,9 +5,12 @@ the single-mode Riccati recursion uses plain LU solves, the costate oracle
 multiplies out the state-transition products literally, the spectral
 radius oracle is a dense eigendecomposition, and the coupled Riccati step,
 observability Gramian, moment recursion and lifted operator are literal
-loops over modes (the package works on stacked arrays).
+loops over modes (the package works on stacked arrays).  The path
+enumeration and the trajectory CSV writer are literal versions of the
+mode-first extension and of ``csv.writer`` rows.
 """
 
+import csv
 import itertools
 
 import numpy as np
@@ -301,3 +304,42 @@ def semidefinite_input_weight_model():
         R=[np.zeros((2, 2)), np.zeros((2, 2))],
         transition=[[0.6, 0.4], [0.2, 0.8]],
         initial_distribution=[0.3, 0.7], x0=[1.0, -2.0])
+
+
+def literal_mode_first_paths(model, N):
+    """Positive-probability paths extended one slot at a time: for each
+    next mode j in ascending order, every kept path in its current order."""
+    paths = [[i] for i in range(model.mode_count)
+             if model.initial_distribution[i] > 0.0]
+    probs = [float(model.initial_distribution[p[0]]) for p in paths]
+    for _ in range(N + 1):
+        new_paths, new_probs = [], []
+        for j in range(model.mode_count):
+            for path, prob in zip(paths, probs):
+                weight = model.transition[path[-1], j]
+                if weight > 0.0:
+                    new_paths.append(path + [j])
+                    new_probs.append(prob * weight)
+        paths, probs = new_paths, new_probs
+    return np.array(paths, dtype=np.int64), np.array(probs)
+
+
+def literal_trajectory_csv(trajectories, path, model):
+    """``trajectories.csv`` through ``csv.writer``, one row at a time."""
+    n, m = model.state_dim, model.input_dim
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial", "k", "mode"]
+                        + [f"x_{d + 1}" for d in range(n)]
+                        + [f"u_{d + 1}" for d in range(m)] + ["stage_cost"])
+        for trial, traj in enumerate(trajectories):
+            N = len(traj.modes) - 2
+            for k in range(N + 2):
+                row = [trial, k, int(traj.modes[k])]
+                row += [repr(float(v)) for v in traj.states[k]]
+                if k <= N:
+                    row += [repr(float(v)) for v in traj.controls[k]]
+                    row += [repr(float(traj.stage_costs[k]))]
+                else:
+                    row += [""] * m + [repr(float(traj.terminal_cost))]
+                writer.writerow(row)
