@@ -20,6 +20,7 @@ from mjls import (
     Trajectory,
     enumerate_paths,
     exact_cost,
+    monte_carlo_cost,
     perturbation_optimality,
     rollout,
     sample_markov_chain,
@@ -96,6 +97,29 @@ class TestFlatTree:
                         if a is not None:
                             assert np.array_equal(a[..., p], b[..., 0])
 
+    def test_divergence_names_the_trial_for_any_worker_count(self):
+        # A state overflows once mode 1 has been visited twice.
+        model = MjlsModel(
+            A=[[[0.5]], [[1e200]]], B=[[[1.0]], [[1.0]]],
+            Q=[[[1.0]], [[1.0]]], R=[[[1.0]], [[1.0]]],
+            transition=[[0.9, 0.1], [0.9, 0.1]],
+            initial_distribution=[1.0, 0.0], x0=[1.0])
+
+        def diverges(seed, t):
+            path = sample_markov_chain(
+                model.transition, model.initial_distribution, 10,
+                np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+            return np.count_nonzero(path[:11] == 1) >= 2
+
+        seed = next(s for s in range(100)
+                    if not diverges(s, 0) and any(diverges(s, t)
+                                                  for t in range(8)))
+        first = next(t for t in range(8) if diverges(seed, t))
+        for workers in (1, 8):
+            with pytest.raises(DivergedTrajectory) as info:
+                monte_carlo_cost(model, None, 8, seed, 10, workers=workers)
+            assert info.value.trial == first
+
 
 class TestPrefixTree:
     def test_order_and_probabilities_match_literal_extension(self):
@@ -121,17 +145,20 @@ class TestPrefixTree:
         assert info.value.step is not None
 
     def test_divergence_names_a_path_through_the_state(self):
-        # x(2) overflows only along histories starting (1, 1).
+        # x(2) overflows only along histories starting (2, 2); mode 2 never
+        # jumps to mode 0, so that prefix's first path is not at its node's
+        # own index.
         model = MjlsModel(
-            A=[[[0.5]], [[1e200]]], B=[[[1.0]], [[1.0]]],
-            Q=[[[1.0]], [[1.0]]], R=[[[1.0]], [[1.0]]],
-            transition=[[0.5, 0.5], [0.5, 0.5]],
-            initial_distribution=[0.5, 0.5], x0=[1.0])
+            A=[[[0.5]], [[0.5]], [[1e200]]], B=[[[1.0]]] * 3,
+            Q=[[[1.0]]] * 3, R=[[[1.0]]] * 3,
+            transition=[[0.5, 0.25, 0.25], [0.5, 0.25, 0.25],
+                        [0.0, 0.5, 0.5]],
+            initial_distribution=[0.4, 0.3, 0.3], x0=[1.0])
         with pytest.raises(DivergedTrajectory) as info:
             exact_cost(model, None, 3)
         assert info.value.step == 2
         paths = enumerate_paths(model, 3).paths
-        through = np.nonzero((paths[:, :2] == [1, 1]).all(axis=1))[0]
+        through = np.nonzero((paths[:, :2] == [2, 2]).all(axis=1))[0]
         assert info.value.trial == through[0]
 
     def test_perturbations_follow_per_stage_per_mode_draws(self, bench):
