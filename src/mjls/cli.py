@@ -10,10 +10,18 @@ Exit codes partition the outcomes:
     0  success
     1  malformed input
     2  Riccati breakdown (input-weight term not positive definite)
-    3  not mean-square stabilizable (divergence or exhausted budget)
+    3  solve-care found no stabilizing solution: the value iterates
+       diverged (not mean-square stabilizable), or the step budget ran out
+       before convergence (undetermined)
     4  assumption violation (input weights not PD / not exactly observable)
     5  verification failure, diverged simulation or numerical overflow
     6  enumeration larger than the cap
+
+``check`` exits 0 in both of the code-3 cases and records them in
+``check.json``: ``"stabilizable": false`` when the iterates diverged, and
+``"stabilizable": null`` with a ``note`` that starts with ``undetermined:``
+when the budget ran out.  ``care.json`` counts every step in
+``iterations``, split into ``value_iterations`` and ``newton_steps``.
 """
 
 from __future__ import annotations
@@ -62,9 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="'zero', 'identity', or a JSON file holding one "
                             "terminal matrix per mode")
         p.add_argument("--tol", type=float, default=1e-10,
-                       help="value-iteration convergence tolerance")
+                       help="CARE convergence tolerance on the relative "
+                            "increment of a step")
         p.add_argument("--max-iter", type=int, default=10000,
-                       help="value-iteration budget")
+                       help="CARE step budget, value iterations and Newton "
+                            "steps together")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--trials", type=int, default=50,
                        help="Monte Carlo trial count")
@@ -74,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="finite-horizon coupled Riccati recursion")
     common(p)
     p = sub.add_parser("solve-care",
-                       help="infinite-horizon fixed point by value iteration")
+                       help="infinite-horizon fixed point by value iteration "
+                            "and Newton-Kleinman steps")
     common(p)
     p = sub.add_parser("check",
                        help="stability, observability and stabilizability "
@@ -169,6 +180,8 @@ def cmd_solve_care(args) -> int:
     _write_json({
         "converged": True,
         "iterations": sol.iterations,
+        "value_iterations": sol.value_iterations,
+        "newton_steps": sol.newton_steps,
         "final_increment": sol.final_increment,
         "residual": sol.residual,
         "P": [mat.tolist() for mat in sol.P],
@@ -179,7 +192,8 @@ def cmd_solve_care(args) -> int:
         "optimal_cost": float(
             model.initial_distribution @ (sol.P @ model.x0 @ model.x0)),
     }, out / "care.json")
-    print(f"converged in {sol.iterations} iterations; "
+    print(f"converged in {sol.iterations} iterations "
+          f"({sol.newton_steps} Newton steps); "
           f"residual {sol.residual!r}; closed-loop radius {radius!r}")
     return 0
 
@@ -207,8 +221,11 @@ def cmd_check(args) -> int:
                 "criterion does not apply")
         sol = solve_care(model, tol=args.tol, max_iter=args.max_iter)
     except NotStabilizable as exc:
-        report["stabilizable"] = False
-        report["note"] = str(exc)
+        if exc.reason == "budget":
+            report["note"] = f"undetermined: {exc}"
+        else:
+            report["stabilizable"] = False
+            report["note"] = str(exc)
     except (PreconditionFailed, ObservabilityViolation, NotPsd) as exc:
         report["note"] = str(exc)
     else:

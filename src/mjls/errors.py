@@ -37,10 +37,11 @@ class RiccatiBreakdown(MjlsError):
 
 
 class NotStabilizable(MjlsError):
-    """Value iteration failed to converge to a stabilizing fixed point.
+    """The CARE solver found no stabilizing fixed point.
 
-    ``reason`` is ``"diverged"`` when the iterates blew past the divergence
-    bound and ``"budget"`` when the iteration cap ran out without convergence.
+    ``reason`` is ``"diverged"`` when the value iterates blew past the
+    divergence bound (no stabilizing controller exists) and ``"budget"``
+    when the step cap ran out without convergence (undetermined).
     """
 
     def __init__(self, message, reason, iterations=None):

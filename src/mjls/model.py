@@ -48,6 +48,11 @@ SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 FACTOR_TOL = 1e-10
 PD_TOL = 1e-10
+# Largest lifted size L n^2 at which the (L n^2)-square second-moment
+# operator is formed densely: its eigenvalues (stability.is_mss) take under
+# 0.5 ms, and the coupled Lyapunov solve of a Newton step
+# (riccati.solve_care) adds well under 1 MB of resident memory.
+DENSE_LIMIT = 32
 
 
 def _as_matrix(value, name):
@@ -401,6 +406,18 @@ def coupled_average(P, transition) -> np.ndarray:
     """Stacked W[i] = sum_j transition[i, j] * P[j] over an (L, n, n) stack,
     symmetrized; one matrix product serves every row of ``transition``."""
     return sym((transition @ P.reshape(len(P), -1)).reshape(-1, *P.shape[1:]))
+
+
+def lifted_matrix(abar, transition) -> np.ndarray:
+    """Dense second-moment operator of the closed-loop stack ``abar``, on
+    row-major vectorized moments stacked by mode: block (target mode j,
+    source mode i) is transition[i, j] * kron(abar[i], abar[i]).  Its
+    transpose maps X to the stack abar[i]' (sum_j transition[i, j] X[j])
+    abar[i]."""
+    L, n = abar.shape[:2]
+    kron = np.einsum("iab,icd->iacbd", abar, abar).reshape(L, n * n, n * n)
+    return np.einsum("ij,iab->jaib", transition, kron).reshape(
+        L * n * n, L * n * n)
 
 
 def factor_state_weight(Q, tol: float = PSD_TOL) -> np.ndarray:

@@ -122,6 +122,9 @@ def _expect(values, weights):
     return np.ascontiguousarray(values.T * weights).sum(axis=1)
 
 
+# Costs may overflow while the states are still finite; the rollout kernel
+# raises DivergedTrajectory once they are not.
+@np.errstate(over="ignore", invalid="ignore")
 def _tally(ensemble, levels, sol=None):
     """Expected cost of each policy rolled in ``levels`` and, given ``sol``,
     its expected Upsilon-weighted deviation from the optimal feedback."""

@@ -15,12 +15,25 @@ raises :class:`RiccatiBreakdown`.
 Infinite horizon: iterating the same step from P = 0 (value iteration) drives
 the per-mode matrices to the fixed point of the coupled algebraic Riccati
 equation whenever a mean-square stabilizing controller exists; divergence of
-the iterates is the non-existence signal.
+the iterates is the non-existence signal.  Value iteration needs about
+18 / (1 - r) steps at best closed-loop radius r, so on small models
+(L n^2 <= ``DENSE_LIMIT``) it hands over to Newton-Kleinman steps (Hewer,
+IEEE TAC 16(4), 1971; coupled form in Costa, Fragoso & Marques,
+Discrete-Time Markov Jump Linear Systems, 2005, ch. 4 and App. A) as soon
+as a step's gain K is certified mean-square stabilizing.  A Newton step
+replaces P by the cost-to-go of the gain of P, the solution X of the
+coupled Lyapunov equation
+
+    X[i] = Abar[i]' (sum_j transition[i, j] X[j]) Abar[i]
+           + Q[i] + K[i]' R[i] K[i],        Abar[i] = A[i] + B[i] K[i],
+
+and converges quadratically from any stabilizing gain.
 
 One step handles all modes on the stacked (L, ., .) arrays of
 :mod:`mjls.model`: one product forms every W_i, batched ``matmul`` and
 ``solve`` give Upsilon, M, P and the gains, and one batched ``eigvalsh``
-per Upsilon certifies definiteness.  Only numpy is needed.
+per Upsilon certifies definiteness.  The Lyapunov equation is one dense
+solve of size L n^2.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -38,8 +51,8 @@ from .errors import (
     ObservabilityViolation,
     RiccatiBreakdown,
 )
-from .model import MjlsModel, Policy, coupled_average, pd_floor, \
-    require_finite, sym
+from .model import DENSE_LIMIT, MjlsModel, Policy, coupled_average, \
+    lifted_matrix, pd_floor, require_finite, sym
 
 __all__ = [
     "FiniteHorizonSolution",
@@ -199,6 +212,9 @@ class CareSolution:
     ``P``, ``Upsilon``, ``M`` and ``K`` are read-only (L, ., .) stacks;
     ``K[i]`` is the stationary feedback gain u = K[i] x; the (L,)
     ``p_min_eig`` certifies positive definiteness of each P[i].
+    ``iterations`` counts every step, the ``value_iterations`` that applied
+    the Riccati step and the ``newton_steps`` that solved the coupled
+    Lyapunov equation of a certified gain.
     """
 
     P: np.ndarray
@@ -209,35 +225,97 @@ class CareSolution:
     iterations: int
     final_increment: float
     residual: float
+    value_iterations: int
+    newton_steps: int
 
     def policy(self) -> Policy:
         return Policy.stationary(self.K)
 
 
+# Non-finite solutions are rejected by the finiteness test.
+@np.errstate(over="ignore", invalid="ignore")
+def _newton_step(model: MjlsModel, P, stepped, gain):
+    """Cost-to-go X of the stationary feedback u = gain[i] x, where
+    ``stepped`` and ``gain`` are :func:`cdre_step` of ``P``; None unless X
+    certifies that this feedback is mean-square stabilizing.
+
+    X solves the coupled Lyapunov equation of the module docstring.  The
+    Riccati step of P is the Lyapunov map of its own gain at P, so
+    X = P + D with
+
+        D[i] = Abar[i]' (sum_j transition[i, j] D[j]) Abar[i]
+               + stepped[i] - P[i],
+
+    solved densely, one unknown per entry of the (L, n, n) stack.  The
+    right side comes from the Riccati step, free of the cancellation in a
+    high-gain Abar, and the solve's error scales with D rather than X.
+
+    The certificate is the coupled Lyapunov inequality (Costa, Fragoso &
+    Marques 2005, Thm 3.9): X is finite, and every X[i] and every
+    X[i] - Abar[i]' E_i(X) Abar[i], recomputed from X, is positive definite
+    by :func:`pd_floor`.  A singular system certifies nothing.
+    """
+    abar = model.A + model.B @ gain
+    lifted = lifted_matrix(abar, model.transition)
+    try:
+        D = np.linalg.solve(np.eye(len(lifted)) - lifted.T,
+                            (stepped - P).reshape(-1))
+    except np.linalg.LinAlgError:
+        return None
+    X = sym(P + D.reshape(P.shape))
+    decrease = sym(X - abar.transpose(0, 2, 1)
+                   @ coupled_average(X, model.transition) @ abar)
+    both = np.concatenate([X, decrease])
+    if not np.isfinite(both).all():
+        return None
+    low, floor = pd_floor(both)
+    return X if (low > floor).all() else None
+
+
 def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,
                divergence_bound: float = 1e12, residual_tol: float = 1e-8,
                initial=None) -> CareSolution:
-    """Solve the coupled algebraic Riccati equation by value iteration.
+    """Solve the coupled algebraic Riccati equation.
 
-    Repeats :func:`cdre_step` from P = 0 (or ``initial``) until the relative
-    per-mode increment drops below ``tol``.  Requires every R[i] positive
-    definite.  Divergence of the iterates (any trace above
-    ``divergence_bound``) or an exhausted iteration budget means no
+    Starts from P = 0 (or ``initial``).  Each step takes the gain K of the
+    current P from :func:`cdre_step`.  When L n^2 <= ``DENSE_LIMIT`` and
+    :func:`_newton_step` certifies K mean-square stabilizing, the step is
+    a Newton step: P becomes the cost-to-go of K.  Otherwise it is a value
+    iteration: P becomes the Riccati step of P.  Once a Newton candidate
+    fails to shrink the increment, that step and every later one is a value
+    iteration.  Both kinds share the ``max_iter`` budget, and the loop ends
+    once the relative per-mode increment is at most ``tol``.  Requires every
+    R[i] positive definite.
+
+    A value iterate with trace above ``divergence_bound`` means no
     mean-square stabilizing controller exists and raises
-    :class:`NotStabilizable`; a fixed point that is PSD but not PD raises
-    :class:`ObservabilityViolation` since positivity is guaranteed under
-    exact observability.
+    :class:`NotStabilizable` with reason ``"diverged"``; an exhausted budget
+    decides nothing and raises it with reason ``"budget"``.  A fixed point
+    that is PSD but not PD raises :class:`ObservabilityViolation` since
+    positivity is guaranteed under exact observability.
     """
     model.ensure_valid()
     model.require_pd_input_weights()
     L, n = model.mode_count, model.state_dim
     P = np.zeros((L, n, n)) if initial is None else \
         sym(_square_stack(initial, L, n, "initial"))
+    # Newton steps end for good once one fails to shrink its increment:
+    # the dense solve has then reached its rounding floor, and value
+    # iterations finish the convergence.
+    newton = L * n * n <= DENSE_LIMIT
 
-    increment = np.inf
+    increment = newton_increment = np.inf
+    newton_steps = 0
     for iteration in range(1, max_iter + 1):
-        new_P = cdre_step(P, model)[0]
-        if np.trace(new_P, axis1=1, axis2=2).max() > divergence_bound:
+        new_P, _, _, gain, _ = cdre_step(P, model)
+        newton_P = _newton_step(model, P, new_P, gain) if newton else None
+        if newton_P is not None:
+            step = _relative_change(newton_P, P)
+            newton, newton_increment = step < newton_increment, step
+        if newton_P is not None and newton:
+            new_P = newton_P
+            newton_steps += 1
+        elif np.trace(new_P, axis1=1, axis2=2).max() > divergence_bound:
             raise NotStabilizable(
                 f"iterates diverged after {iteration} iterations "
                 f"(trace above {divergence_bound:.1e}); "
@@ -269,7 +347,9 @@ def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,
             "fail exact observability")
     return CareSolution(*_frozen(P, Upsilon, M, K, p_eigs),
                         iterations=iteration, final_increment=increment,
-                        residual=residual)
+                        residual=residual,
+                        value_iterations=iteration - newton_steps,
+                        newton_steps=newton_steps)
 
 
 def care_residual(P, model: MjlsModel) -> float:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InvalidInput, NotStabilizable, NumericalFailure, \
     PreconditionFailed
-from .model import MjlsModel, Policy, coupled_average, pd_floor, \
-    require_finite, sym
+from .model import DENSE_LIMIT, MjlsModel, Policy, coupled_average, \
+    lifted_matrix, pd_floor, require_finite, sym
 from .riccati import solve_care
 
 __all__ = [
@@ -42,10 +42,6 @@ __all__ = [
     "is_stabilizable",
     "write_moment_csv",
 ]
-
-# Up to this size dense eigenvalues take under 0.5 ms and stay exact when
-# many share the top modulus; above it the block iteration is cheaper.
-DENSE_LIMIT = 32
 
 
 def _with_gains(model: MjlsModel, gains) -> np.ndarray:
@@ -67,15 +63,6 @@ def closed_loop_matrices(model: MjlsModel,
     return _with_gains(model, policy.gains)
 
 
-def _lifted_matrix(abar, transition) -> np.ndarray:
-    """:func:`closed_loop_operator` of ``abar``, on row-major vectorized
-    moments stacked by mode."""
-    L, n = abar.shape[:2]
-    kron = np.einsum("iab,icd->iacbd", abar, abar).reshape(L, n * n, n * n)
-    return np.einsum("ij,iab->jaib", transition, kron).reshape(
-        L * n * n, L * n * n)
-
-
 def closed_loop_operator(model: MjlsModel,
                          policy: Policy | None = None) -> np.ndarray:
     """Lifted second-moment transition operator, an (L n^2) square matrix.
@@ -84,8 +71,8 @@ def closed_loop_operator(model: MjlsModel,
     transition[i, j] * kron(Abar[i], Abar[i]).
     """
     model.ensure_valid()
-    return _lifted_matrix(closed_loop_matrices(model, policy),
-                          model.transition)
+    return lifted_matrix(closed_loop_matrices(model, policy),
+                         model.transition)
 
 
 def _radius(apply, size, fro, dense, tol, max_iter) -> float:
@@ -158,7 +145,7 @@ def is_mss(model: MjlsModel, policy: Policy | None = None,
         return Z.reshape(L, block, n * n).transpose(0, 2, 1).reshape(V.shape)
 
     radius = _radius(apply, L * n * n, float(np.hypot.reduce(rows)),
-                     lambda: _lifted_matrix(abar, lam), 1e-12, 10000)
+                     lambda: lifted_matrix(abar, lam), 1e-12, 10000)
     return radius < 1.0 - mss_margin, radius
 
 
@@ -222,17 +209,24 @@ def propagate_second_moment(model: MjlsModel, policy: Policy | None,
 
 @np.errstate(over="ignore", invalid="ignore")
 def observability_gramian(model: MjlsModel, horizon: int) -> np.ndarray:
-    """(L, n, n) stack of the transition-weighted observability Gramians
+    """(L, n, n) stack of the transition-weighted observability Gramians of
+    the scaled dynamics S[i] = A[i] / (1 + ||A[i]||_2),
 
-        G[i](0) = Q[i],   G[i](t) = Q[i] + A[i]' (sum_j transition[i,j]
-                                                  G[j](t-1)) A[i]
+        G[i](0) = Q[i],   G[i](t) = Q[i] + S[i]' (sum_j transition[i,j]
+                                                  G[j](t-1)) S[i]
 
-    at t = ``horizon``, all modes per step; an overflow raises
+    at t = ``horizon``, all modes per step.  A positive scale per mode
+    leaves the kernel of every G[i](t), and so the observability verdict,
+    as it is for A; it keeps ||S[i]||_2 < 1, so G stays within
+    max ||Q|| / (1 - max ||S||_2^2) and the definiteness floor tracks
+    Q rather than the growth of A.  An overflow raises
     :class:`NumericalFailure` naming the step and mode."""
+    scale = 1.0 + np.linalg.norm(model.A, 2, axis=(1, 2))
+    S = model.A / scale[:, None, None]
     G = model.Q
     for step in range(1, horizon + 1):
-        G = sym(model.Q + model.A.transpose(0, 2, 1)
-                @ coupled_average(G, model.transition) @ model.A)
+        G = sym(model.Q + S.transpose(0, 2, 1)
+                @ coupled_average(G, model.transition) @ S)
         require_finite(G, f"observability Gramian at step {step}")
     return G
 
@@ -256,13 +250,15 @@ def is_exactly_observable(model: MjlsModel, horizon: int | None = None,
     return bool(np.all(low > floor))
 
 
-def is_stabilizable(model: MjlsModel, **care_options) -> bool:
+def is_stabilizable(model: MjlsModel, **care_options) -> bool | None:
     """Whether some mode-indexed feedback makes the loop mean-square stable.
 
     Equivalent to the coupled algebraic Riccati equation admitting a positive
     definite solution; that equivalence needs positive definite input weights
     and exact observability, so both are checked first and their failure
-    raises :class:`PreconditionFailed`.
+    raises :class:`PreconditionFailed`.  Returns False when the value
+    iterates diverge and None (undetermined) when :func:`solve_care` runs
+    out of its budget before converging.
     """
     model.ensure_valid()
     model.require_pd_input_weights()
@@ -272,8 +268,8 @@ def is_stabilizable(model: MjlsModel, **care_options) -> bool:
             "criterion for stabilizability does not apply")
     try:
         solve_care(model, **care_options)
-    except NotStabilizable:
-        return False
+    except NotStabilizable as exc:
+        return None if exc.reason == "budget" else False
     return True
 
 

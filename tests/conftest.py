@@ -26,6 +26,19 @@ def scalar_model(a=0.5, b=1.0, q=1.0, r=1.0, x0=1.0) -> MjlsModel:
                      transition=[[1.0]], initial_distribution=[1.0], x0=[x0])
 
 
+def edge_model(a) -> MjlsModel:
+    """Two scalar modes x+ = a x + b_i u with b = (1, 0) and uniform jumps.
+
+    Mode 1 cannot be controlled; the gain (-a, 0) zeroes mode 0 and leaves
+    the best closed-loop radius a^2 / 2, so value iteration slows down as
+    a approaches sqrt(2).
+    """
+    return MjlsModel(A=np.full((2, 1, 1), a), B=[[[1.0]], [[0.0]]],
+                     Q=np.ones((2, 1, 1)), R=np.ones((2, 1, 1)),
+                     transition=np.full((2, 2), 0.5),
+                     initial_distribution=[0.5, 0.5], x0=[1.0])
+
+
 @pytest.fixture
 def bench() -> MjlsModel:
     return two_mode_benchmark()

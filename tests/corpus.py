@@ -219,13 +219,35 @@ def literal_cdre_step(P_next, model, stage=None):
     return P, U, M, K
 
 
+def literal_scalar_value_iteration(model, tol):
+    """Value iteration from P = 0 on a model with n = m = 1, in Python
+    floats: w_i = sum_j transition[i, j] p_j and
+    p_i <- a_i^2 w_i + q_i - (a_i b_i w_i)^2 / (b_i^2 w_i + r_i), until the
+    largest |change| / (1 + |old|) is at most ``tol``."""
+    a, b, q, r = ([float(v) for v in getattr(model, name).ravel()]
+                  for name in "ABQR")
+    lam = model.transition.tolist()
+    p = [0.0] * len(a)
+    while True:
+        w = [sum(weight * pj for weight, pj in zip(row, p)) for row in lam]
+        new = [ai * ai * wi + qi - (ai * bi * wi) ** 2 / (bi * bi * wi + ri)
+               for ai, bi, qi, ri, wi in zip(a, b, q, r, w)]
+        change = max(abs(x - y) / (1.0 + abs(y)) for x, y in zip(new, p))
+        p = new
+        if change <= tol:
+            return np.array(p)
+
+
 def literal_gramian(model, horizon):
-    """Observability Gramians G[i](horizon), mode by mode."""
+    """Observability Gramians G[i](horizon) of the scaled dynamics
+    A[i] / (1 + ||A[i]||_2), mode by mode."""
     L = model.mode_count
+    S = [np.asarray(model.A[i], float)
+         / (1.0 + np.linalg.norm(model.A[i], 2)) for i in range(L)]
     G = [np.asarray(model.Q[i], float) for i in range(L)]
     for _ in range(horizon):
-        G = [model.Q[i] + model.A[i].T @ _literal_average(
-            G, model.transition[i]) @ model.A[i] for i in range(L)]
+        G = [model.Q[i] + S[i].T @ _literal_average(
+            G, model.transition[i]) @ S[i] for i in range(L)]
         G = [0.5 * (g + g.T) for g in G]
     return G
 

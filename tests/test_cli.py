@@ -11,7 +11,7 @@ import pytest
 from mjls import MjlsModel, save_model
 from mjls.cli import main
 
-from conftest import scalar_model
+from conftest import edge_model, scalar_model
 
 
 def write_model(model, tmp_path, name="model.json"):
@@ -91,6 +91,33 @@ class TestSolveCare:
                      "--out", str(tmp_path / "out")])
         assert code == 4
 
+    def test_budget_exit_code(self, tmp_path):
+        path = write_model(scalar_model(a=1.0, b=0.0), tmp_path)
+        code = main(["solve-care", "--model", str(path), "--max-iter", "200",
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+
+    def test_edge_model_hands_over_to_newton(self, tmp_path):
+        # Best closed-loop radius 0.999: value iteration alone runs out of
+        # its 10^4 steps.
+        model = edge_model(math.sqrt(2.0 * 0.999))
+        path = write_model(model, tmp_path)
+        out = tmp_path / "out"
+        assert main(["solve-care", "--model", str(path),
+                     "--out", str(out)]) == 0
+        care = json.loads((out / "care.json").read_text())
+        assert care["newton_steps"] > 0
+        assert care["iterations"] == \
+            care["value_iterations"] + care["newton_steps"]
+        assert care["closed_loop_mean_square_stable"] is True
+        # The optimal gain trades a little radius for cost: 0.99900025.
+        assert 0.999 <= care["closed_loop_spectral_radius"] < 0.9991
+        assert main(["check", "--model", str(path),
+                     "--out", str(tmp_path / "check")]) == 0
+        report = json.loads((tmp_path / "check" / "check.json").read_text())
+        assert report["stabilizable"] is True
+        assert report["closed_loop"]["mean_square_stable"] is True
+
     def test_benchmark_reports_mss(self, bench_file, tmp_path):
         out = tmp_path / "out"
         code = main(["solve-care", "--model", str(bench_file),
@@ -131,6 +158,16 @@ class TestCheck:
         assert report["closed_loop"]["mean_square_stable"] is True
         assert (out / "second_moments_open_loop.csv").exists()
         assert (out / "second_moments_closed_loop.csv").exists()
+
+    def test_exhausted_budget_is_undetermined(self, tmp_path):
+        path = write_model(scalar_model(a=1.0, b=0.0), tmp_path)
+        out = tmp_path / "out"
+        assert main(["check", "--model", str(path), "--max-iter", "200",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "check.json").read_text())
+        assert report["stabilizable"] is None
+        assert report["closed_loop"] is None
+        assert report["note"].startswith("undetermined: no convergence")
 
     def test_unstabilizable_still_exits_zero(self, tmp_path):
         path = write_model(scalar_model(a=2.0, b=0.0), tmp_path)
@@ -288,15 +325,21 @@ class TestNonFinite:
         assert set(run_everywhere(path, tmp_path).values()) == {5}
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_gramian_overflow_exit_numerical_failure(self, tmp_path, capsys):
-        # Two modes: the default Gramian horizon n L = 2 overflows at 1e400.
+    def test_huge_dynamics_pass_the_gramian(self, tmp_path, capsys):
+        # The scaled Gramian stays finite at A = 1e100, so both commands get
+        # past the observability test.  solve-care then stops on the second
+        # value iterate (trace 5e199 above the divergence bound), and check
+        # on the open-loop second moment, which reaches 1e400 at step 2.
         path = tmp_path / "gram.json"
         path.write_text(json.dumps(scalar_modes([1e100, 1e100])))
-        for cmd in ("solve-care", "check"):
-            assert main([cmd, "--model", str(path),
-                         "--out", str(tmp_path / cmd)]) == 5
-            assert "observability Gramian at step 2" in \
-                capsys.readouterr().err
+        assert main(["solve-care", "--model", str(path),
+                     "--out", str(tmp_path / "care")]) == 3
+        assert "diverged after 2 iterations" in capsys.readouterr().err
+        assert main(["check", "--model", str(path),
+                     "--out", str(tmp_path / "check")]) == 5
+        err = capsys.readouterr().err
+        assert "second moment at step 2" in err
+        assert "Gramian" not in err and "Traceback" not in err
 
 
 class TestPeriodicRotation:

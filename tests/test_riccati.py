@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import mjls.riccati
 from mjls import (
     InvalidInput,
     InvalidState,
+    MjlsError,
     MjlsModel,
     NotStabilizable,
     ObservabilityViolation,
@@ -13,14 +16,16 @@ from mjls import (
     RiccatiBreakdown,
     care_residual,
     cdre_step,
+    closed_loop_operator,
     optimal_cost_finite,
     solve_care,
     solve_finite,
     write_riccati_csv,
 )
 
-from conftest import scalar_model
-from corpus import classical_finite_riccati, random_model
+from conftest import edge_model, scalar_model
+from corpus import classical_finite_riccati, dense_radius, \
+    literal_scalar_value_iteration, random_model, stacked_corpus
 
 
 def zeros_terminal(model):
@@ -280,6 +285,100 @@ class TestSolveCare:
         for i in range(2):
             assert np.allclose(sol.Upsilon[i], U[i], atol=1e-12)
             assert np.allclose(sol.K[i], K[i], atol=1e-12)
+
+
+class TestNewtonHandOver:
+    """Value iteration hands over to Newton-Kleinman steps once a gain is
+    certified mean-square stabilizing (models with L n^2 <= DENSE_LIMIT)."""
+
+    # (iterations, value_iterations, newton_steps) at the default tolerance;
+    # value iteration alone takes 133 / 3,008 / 49,407 steps.
+    EDGE_STEPS = {1.3: (7, 2, 5), 1.41: (13, 8, 5), 1.414: (34, 30, 4)}
+
+    @pytest.mark.parametrize("a", sorted(EDGE_STEPS))
+    def test_edge_family(self, a):
+        model = edge_model(a)
+        sol = solve_care(model)
+        assert (sol.iterations, sol.value_iterations, sol.newton_steps) \
+            == self.EDGE_STEPS[a]
+        assert dense_radius(closed_loop_operator(model, sol.policy())) < 1.0
+        reference = literal_scalar_value_iteration(model, 1e-13)
+        assert np.all(np.abs(sol.P[:, 0, 0] - reference)
+                      <= 1e-8 * reference)
+
+    def test_newton_agrees_with_value_iteration_on_corpus(self,
+                                                          monkeypatch):
+        def solve(model):
+            try:
+                return solve_care(model, tol=1e-13, max_iter=10 ** 5)
+            except MjlsError as exc:
+                return type(exc)
+
+        compared = 0
+        for model in stacked_corpus(np.random.default_rng(2024)):
+            if model.mode_count * model.state_dim ** 2 > \
+                    mjls.riccati.DENSE_LIMIT:
+                continue
+            newton = solve(model)
+            with monkeypatch.context() as patch:
+                patch.setattr(mjls.riccati, "DENSE_LIMIT", 0)
+                value = solve(model)
+            if isinstance(value, type):
+                assert newton is value
+                continue
+            assert value.newton_steps == 0 < newton.newton_steps
+            gap = np.linalg.norm(newton.P - value.P, axis=(1, 2))
+            assert np.all(gap <= 1e-8 * np.linalg.norm(value.P, axis=(1, 2)))
+            compared += 1
+        assert compared >= 30
+
+    def test_singular_lyapunov_system_falls_back_to_value_iteration(self):
+        # From P = 0 the gain is zero and Abar = a = 1, so the Lyapunov
+        # system 1 - a^2 = 0 is singular and the first step is a value
+        # iteration; p = 1 + p / (p + 1) then has the golden ratio as root.
+        sol = solve_care(scalar_model(a=1.0))
+        assert sol.value_iterations == 1 and sol.newton_steps >= 2
+        assert sol.P[0, 0, 0] == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0,
+                                               rel=1e-12)
+
+    def test_stalled_newton_steps_hand_back_to_value_iteration(
+            self, monkeypatch):
+        # Newton answers that carry a relative error of 1e-8 stop shrinking
+        # their increments well above tol; value iteration must finish.
+        newton_step = mjls.riccati._newton_step
+        factors = itertools.cycle([1.0 + 1e-8, 1.0 - 1e-8])
+
+        def noisy(*args):
+            X = newton_step(*args)
+            return None if X is None else X * next(factors)
+
+        monkeypatch.setattr(mjls.riccati, "_newton_step", noisy)
+        model = edge_model(1.3)
+        sol = solve_care(model, max_iter=1000)
+        assert sol.newton_steps >= 3 and sol.value_iterations >= 10
+        reference = literal_scalar_value_iteration(model, 1e-13)
+        assert np.all(np.abs(sol.P[:, 0, 0] - reference)
+                      <= 1e-8 * reference)
+
+    def test_budget_counts_both_phases(self):
+        model = edge_model(1.414)
+        assert solve_care(model, max_iter=34).iterations == 34
+        with pytest.raises(NotStabilizable) as info:
+            solve_care(model, max_iter=33)
+        assert info.value.reason == "budget"
+        assert info.value.iterations == 33
+
+    def test_large_models_keep_value_iteration(self):
+        rng = np.random.default_rng(26)
+        model = random_model(rng, n_max=3, L_max=4, pd_state_weight=True,
+                             target_radius=0.5)
+        while model.mode_count * model.state_dim ** 2 <= \
+                mjls.riccati.DENSE_LIMIT:
+            model = random_model(rng, n_max=3, L_max=4, pd_state_weight=True,
+                                 target_radius=0.5)
+        sol = solve_care(model)
+        assert sol.newton_steps == 0
+        assert sol.value_iterations == sol.iterations
 
 
 class TestCareResidual:

@@ -8,6 +8,7 @@ enumeration and ``csv.writer`` in ``corpus.py``.
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,13 @@ class TestPrefixTree:
         with pytest.raises(DivergedTrajectory) as info:
             exact_cost(scalar_model(a=3.0, x0=1.0), None, 800)
         assert info.value.step is not None
+
+    def test_open_loop_divergence_emits_no_warning(self):
+        # The stage costs overflow before the states do.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedTrajectory):
+                exact_cost(scalar_model(a=3.0, x0=1.0), None, 800)
 
     def test_divergence_names_a_path_through_the_state(self):
         # x(2) overflows only along histories starting (2, 2); mode 2 never

@@ -233,6 +233,17 @@ class TestExactObservability:
                 C=[np.eye(n)])
             assert is_exactly_observable(model)
 
+    def test_fast_growth_keeps_positive_definite_weights_observable(self):
+        # Unscaled, the Gramian along the first axis reaches 1e24 after
+        # n L = 4 steps, and the floor 1e-10 (1 + ||G||) swamped
+        # lambda_min(Q) = 1.
+        model = MjlsModel(
+            A=[np.diag([1e3, 1e-3])] * 2, B=[np.ones((2, 1))] * 2,
+            Q=[np.eye(2)] * 2, R=[[[1.0]]] * 2,
+            transition=np.full((2, 2), 0.5), initial_distribution=[0.5, 0.5],
+            x0=[1.0, 1.0])
+        assert is_exactly_observable(model)
+
     def test_zero_output_never_observable(self):
         model = MjlsModel(
             A=[np.eye(2)], B=[np.ones((2, 1))], Q=[np.zeros((2, 2))],
@@ -300,6 +311,13 @@ class TestIsStabilizable:
 
     def test_benchmark(self, bench):
         assert is_stabilizable(bench)
+
+    def test_exhausted_budget_is_undetermined(self):
+        # A marginal uncontrollable mode grows only linearly: 200 steps
+        # neither converge nor pass the divergence bound.
+        assert is_stabilizable(scalar_model(a=1.0, b=0.0),
+                               max_iter=200) is None
+        assert is_stabilizable(scalar_model(a=2.0, b=0.0)) is False
 
     def test_precondition_failures(self):
         with pytest.raises(PreconditionFailed):

@@ -228,13 +228,16 @@ class TestOverflow:
         with pytest.raises(NumericalFailure, match="stage 2 .*mode 1"):
             solve_finite(model, [np.zeros((1, 1))] * 2, 3)
 
-    def test_gramian_names_step_and_mode(self):
+    def test_gramian_of_huge_dynamics_stays_finite(self):
+        # The scaled dynamics 1e100 / (1 + 1e100) round to 1, so
+        # G(t) = t + 1 where the unscaled Gramian overflowed at step 2.
         model = MjlsModel(A=[[[1e100]]], B=[[[1.0]]], Q=[[[1.0]]],
                           R=[[[1.0]]], transition=[[1.0]],
                           initial_distribution=[1.0], x0=[1.0])
-        assert is_exactly_observable(model, horizon=1)
-        with pytest.raises(NumericalFailure, match="step 2 .*mode 0"):
-            is_exactly_observable(model, horizon=2)
+        for horizon in (1, 2, 50):
+            assert observability_gramian(model, horizon)[0, 0, 0] == \
+                horizon + 1.0
+            assert is_exactly_observable(model, horizon=horizon)
 
     def test_lifted_operator_and_moments(self):
         model = MjlsModel(A=[[[1e300]]], B=[[[1.0]]], Q=[[[1.0]]],
