@@ -20,7 +20,8 @@ the iterates is the non-existence signal.  Value iteration needs about
 (L n^2 <= ``DENSE_LIMIT``) it hands over to Newton-Kleinman steps (Hewer,
 IEEE TAC 16(4), 1971; coupled form in Costa, Fragoso & Marques,
 Discrete-Time Markov Jump Linear Systems, 2005, ch. 4 and App. A) as soon
-as a step's gain K is certified mean-square stabilizing.  A Newton step
+as a step's gain K is certified mean-square stabilizing by the spectral
+radius of its dense second-moment operator.  A Newton step
 replaces P by the cost-to-go of the gain of P, the solution X of the
 coupled Lyapunov equation
 
@@ -33,7 +34,8 @@ One step handles all modes on the stacked (L, ., .) arrays of
 :mod:`mjls.model`: one product forms every W_i, batched ``matmul`` and
 ``solve`` give Upsilon, M, P and the gains, and one batched ``eigvalsh``
 per Upsilon certifies definiteness.  The Lyapunov equation is one dense
-solve of size L n^2.  Only numpy is needed.
+solve of size L n^2, after one dense ``eigvals`` of the same size certifies
+the gain.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -236,12 +238,16 @@ class CareSolution:
 @np.errstate(over="ignore", invalid="ignore")
 def _newton_step(model: MjlsModel, P, stepped, gain):
     """Cost-to-go X of the stationary feedback u = gain[i] x, where
-    ``stepped`` and ``gain`` are :func:`cdre_step` of ``P``; None unless X
-    certifies that this feedback is mean-square stabilizing.
+    ``stepped`` and ``gain`` are :func:`cdre_step` of ``P``; None unless
+    this feedback is certified mean-square stabilizing.
 
-    X solves the coupled Lyapunov equation of the module docstring.  The
-    Riccati step of P is the Lyapunov map of its own gain at P, so
-    X = P + D with
+    The certificate is the exact one (Costa, Fragoso & Marques 2005,
+    Thm 3.9): the dense second-moment operator of Abar = A + B gain has
+    spectral radius below 1.  It holds for semidefinite Q, where the
+    Lyapunov decrease X[i] - Abar[i]' E_i(X) Abar[i] = Q[i] + K[i]' R[i] K[i]
+    is only semidefinite.  X then solves the coupled Lyapunov equation of
+    the module docstring.  The Riccati step of P is the Lyapunov map of its
+    own gain at P, so X = P + D with
 
         D[i] = Abar[i]' (sum_j transition[i, j] D[j]) Abar[i]
                + stepped[i] - P[i],
@@ -249,27 +255,25 @@ def _newton_step(model: MjlsModel, P, stepped, gain):
     solved densely, one unknown per entry of the (L, n, n) stack.  The
     right side comes from the Riccati step, free of the cancellation in a
     high-gain Abar, and the solve's error scales with D rather than X.
-
-    The certificate is the coupled Lyapunov inequality (Costa, Fragoso &
-    Marques 2005, Thm 3.9): X is finite, and every X[i] and every
-    X[i] - Abar[i]' E_i(X) Abar[i], recomputed from X, is positive definite
-    by :func:`pd_floor`.  A singular system certifies nothing.
+    X must also come out finite and positive semidefinite up to
+    :func:`pd_floor`, as the cost-to-go of a stabilizing gain is; this
+    rejects a radius that rounding put just below 1.  An operator that
+    overflows or a singular system certifies nothing.
     """
     abar = model.A + model.B @ gain
     lifted = lifted_matrix(abar, model.transition)
     try:
+        if np.max(np.abs(np.linalg.eigvals(lifted))) >= 1.0:
+            return None
         D = np.linalg.solve(np.eye(len(lifted)) - lifted.T,
                             (stepped - P).reshape(-1))
     except np.linalg.LinAlgError:
         return None
     X = sym(P + D.reshape(P.shape))
-    decrease = sym(X - abar.transpose(0, 2, 1)
-                   @ coupled_average(X, model.transition) @ abar)
-    both = np.concatenate([X, decrease])
-    if not np.isfinite(both).all():
+    if not np.isfinite(X).all():
         return None
-    low, floor = pd_floor(both)
-    return X if (low > floor).all() else None
+    low, floor = pd_floor(X)
+    return X if (low >= -floor).all() else None
 
 
 def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,

@@ -210,18 +210,21 @@ def propagate_second_moment(model: MjlsModel, policy: Policy | None,
 @np.errstate(over="ignore", invalid="ignore")
 def observability_gramian(model: MjlsModel, horizon: int) -> np.ndarray:
     """(L, n, n) stack of the transition-weighted observability Gramians of
-    the scaled dynamics S[i] = A[i] / (1 + ||A[i]||_2),
+    the scaled dynamics S[i] = A[i] / max(1, ||A[i]||_2),
 
         G[i](0) = Q[i],   G[i](t) = Q[i] + S[i]' (sum_j transition[i,j]
                                                   G[j](t-1)) S[i]
 
-    at t = ``horizon``, all modes per step.  A positive scale per mode
-    leaves the kernel of every G[i](t), and so the observability verdict,
-    as it is for A; it keeps ||S[i]||_2 < 1, so G stays within
-    max ||Q|| / (1 - max ||S||_2^2) and the definiteness floor tracks
-    Q rather than the growth of A.  An overflow raises
+    at t = ``horizon``, all modes per step.  Modes with ||A[i]||_2 <= 1 are
+    not scaled, so on them G is the Gramian of A itself.  An expanding mode
+    is scaled to norm 1; in exact arithmetic a positive scale per mode
+    leaves the kernel of every G[i](t), and so the verdict, as it is for A,
+    and it keeps G within (horizon + 1) max ||Q||, so the definiteness
+    floor tracks Q rather than the growth of A.  (The floored test can
+    still differ from the exact one on directions that an expanding mode
+    reaches only through its contracting part.)  An overflow raises
     :class:`NumericalFailure` naming the step and mode."""
-    scale = 1.0 + np.linalg.norm(model.A, 2, axis=(1, 2))
+    scale = np.maximum(1.0, np.linalg.norm(model.A, 2, axis=(1, 2)))
     S = model.A / scale[:, None, None]
     G = model.Q
     for step in range(1, horizon + 1):

@@ -240,10 +240,10 @@ def literal_scalar_value_iteration(model, tol):
 
 def literal_gramian(model, horizon):
     """Observability Gramians G[i](horizon) of the scaled dynamics
-    A[i] / (1 + ||A[i]||_2), mode by mode."""
+    A[i] / max(1, ||A[i]||_2), mode by mode."""
     L = model.mode_count
     S = [np.asarray(model.A[i], float)
-         / (1.0 + np.linalg.norm(model.A[i], 2)) for i in range(L)]
+         / max(1.0, np.linalg.norm(model.A[i], 2)) for i in range(L)]
     G = [np.asarray(model.Q[i], float) for i in range(L)]
     for _ in range(horizon):
         G = [model.Q[i] + S[i].T @ _literal_average(

@@ -332,6 +332,26 @@ class TestNewtonHandOver:
             compared += 1
         assert compared >= 30
 
+    def test_rank_deficient_output_hands_over(self, monkeypatch):
+        # Q = C'C with rank-1 C on n = 3: the Lyapunov decrease
+        # Q[i] + K[i]' R[i] K[i] has rank at most 2, so only the radius of
+        # the second-moment operator can certify a gain.
+        C = np.array([[1.0, 0.0, 0.0]])
+        model = MjlsModel(
+            A=[[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.9, -1.5, 1.7]],
+               [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-0.4, 0.3, 1.2]]],
+            B=[[[0.0], [0.0], [1.0]]] * 2, Q=[C.T @ C] * 2, R=[[[1.0]]] * 2,
+            transition=[[0.7, 0.3], [0.4, 0.6]], initial_distribution=[1, 0],
+            x0=[1.0, 1.0, 1.0], C=[C, C])
+        sol = solve_care(model)
+        assert sol.newton_steps > 0
+        assert dense_radius(closed_loop_operator(model, sol.policy())) < 1.0
+        monkeypatch.setattr(mjls.riccati, "DENSE_LIMIT", 0)
+        value = solve_care(model, tol=1e-13)
+        assert value.newton_steps == 0
+        gap = np.linalg.norm(sol.P - value.P, axis=(1, 2))
+        assert np.all(gap <= 1e-8 * np.linalg.norm(value.P, axis=(1, 2)))
+
     def test_singular_lyapunov_system_falls_back_to_value_iteration(self):
         # From P = 0 the gain is zero and Abar = a = 1, so the Lyapunov
         # system 1 - a^2 = 0 is singular and the first step is a value

@@ -17,6 +17,7 @@ from mjls import (
     spectral_radius,
     write_moment_csv,
 )
+from mjls.stability import observability_gramian
 from conftest import scalar_model, two_mode_benchmark
 from corpus import (
     classical_observability_rank,
@@ -243,6 +244,21 @@ class TestExactObservability:
             transition=np.full((2, 2), 0.5), initial_distribution=[0.5, 0.5],
             x0=[1.0, 1.0])
         assert is_exactly_observable(model)
+
+    def test_slow_shift_chain_observable(self):
+        # A e_k = e_(k-1) and Q = e_1 e_1' see e_k only after k - 1 steps.
+        # ||A||_2 = 1, so the Gramian is that of A itself, the identity; a
+        # scale below 1 would shrink e_k by its (k - 1)-th power and drop
+        # lambda_min below the definiteness floor at n = 18.
+        n = 18
+        e1 = np.eye(n)[:1]
+        model = MjlsModel(
+            A=[np.eye(n, k=1)], B=[np.eye(n)[:, -1:]], Q=[e1.T @ e1],
+            R=[[[1.0]]], transition=[[1.0]], initial_distribution=[1.0],
+            x0=np.ones(n))
+        assert np.array_equal(observability_gramian(model, n), [np.eye(n)])
+        assert is_exactly_observable(model)
+        assert is_stabilizable(model)
 
     def test_zero_output_never_observable(self):
         model = MjlsModel(
