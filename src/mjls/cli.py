@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import (
     DivergedTrajectory,
     InvalidInput,
@@ -134,12 +135,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(obj, path: Path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _load_valid_model(args) -> MjlsModel:
     model = load_model(args.model)
     model.ensure_valid()
@@ -154,7 +149,7 @@ def cmd_solve_finite(args) -> int:
     cost = optimal_cost_finite(sol, model)
     out = _out_dir(args)
     write_riccati_csv(sol, out / "riccati.csv")
-    _write_json({
+    write_json({
         "horizon": N,
         "optimal_cost": cost,
         "mode_count": model.mode_count,
@@ -177,7 +172,7 @@ def cmd_solve_care(args) -> int:
     sol = solve_care(model, tol=args.tol, max_iter=args.max_iter)
     stable, radius = is_mss(model, sol.policy())
     out = _out_dir(args)
-    _write_json({
+    write_json({
         "converged": True,
         "iterations": sol.iterations,
         "value_iterations": sol.value_iterations,
@@ -236,7 +231,7 @@ def cmd_check(args) -> int:
         write_moment_csv(
             propagate_second_moment(model, sol.policy(), steps),
             out / "second_moments_closed_loop.csv")
-    _write_json(report, out / "check.json")
+    write_json(report, out / "check.json")
     print(f"open-loop radius {open_radius!r}; "
           f"observable {report['exactly_observable']}; "
           f"stabilizable {report['stabilizable']}")
@@ -255,7 +250,7 @@ def cmd_simulate(args) -> int:
     mean, stderr = cost_statistics([t.total_cost for t in trajectories])
     out = _out_dir(args)
     write_trajectory_csv(trajectories, out / "trajectories.csv", model)
-    _write_json({
+    write_json({
         "trials": args.trials,
         "seed": args.seed,
         "horizon": N,
@@ -274,7 +269,7 @@ def cmd_verify(args) -> int:
     terminal = _terminal_matrices(args.terminal, model)
     report = verification_report(model, N, terminal, seed=args.seed)
     out = _out_dir(args)
-    _write_json(report, out / "verification.json")
+    write_json(report, out / "verification.json")
     for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"
         print(f"{status}  {check['name']}  "

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import InvalidInput, NotPsd, NumericalFailure, \
     PreconditionFailed
 
@@ -453,7 +454,6 @@ def load_model(path) -> MjlsModel:
 
 
 def save_model(model: MjlsModel, path):
-    """Write a model to a JSON file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write a model to a JSON file, with the bytes of
+    :func:`mjls.artifacts.write_json`."""
+    write_json(model.to_dict(), path)

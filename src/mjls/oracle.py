@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,27 +50,39 @@ BATCH_NODES = 2 ** 19
 class PathEnsemble:
     """Every positive-probability mode sequence theta(0..N+1).
 
-    ``paths`` has shape (count, N+2); ``probabilities`` are the exact chain
-    probabilities and sum to one.  Level k = 0..N+1 of the prefix tree holds
-    each history theta(0..k) once: its last mode ``modes[k]``, the index
-    ``parents[k]`` (k >= 1) of theta(0..k-1) at level k - 1 and its
-    probability ``weights[k]``.  Children come mode first, then in parent
-    order, so the last level lists the rows of ``paths``.
+    Level k = 0..N+1 of the prefix tree holds each history theta(0..k)
+    once: its last mode ``modes[k]``, the index ``parents[k]`` (k >= 1) of
+    theta(0..k-1) at level k - 1 and its probability ``weights[k]``.
+    Children come mode first, then in parent order, so the last level lists
+    the rows of ``paths``, the (count, N+2) array of whole sequences, which
+    is built from the levels on first access.  ``probabilities`` are the
+    exact chain probabilities of those rows and sum to one.
     """
 
-    paths: np.ndarray
-    probabilities: np.ndarray
-    modes: list = field(default_factory=list, repr=False)
-    parents: list = field(default_factory=list, repr=False)
-    weights: list = field(default_factory=list, repr=False)
+    modes: list = field(repr=False)
+    parents: list = field(repr=False)
+    weights: list = field(repr=False)
 
     @property
     def horizon(self) -> int:
-        return self.paths.shape[1] - 2
+        return len(self.modes) - 2
 
     @property
     def count(self) -> int:
-        return self.paths.shape[0]
+        return len(self.modes[-1])
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return self.weights[-1]
+
+    @cached_property
+    def paths(self) -> np.ndarray:
+        paths = np.empty((self.count, self.horizon + 2), dtype=np.int64)
+        node = np.arange(self.count)
+        for k in range(self.horizon + 1, -1, -1):
+            paths[:, k] = self.modes[k][node]
+            node = self.parents[k][node] if k else node
+        return paths
 
 
 def enumerate_paths(model: MjlsModel, N: int,
@@ -96,12 +109,7 @@ def enumerate_paths(model: MjlsModel, N: int,
         modes.append(mode)
         parents.append(parent)
         weights.append(weights[-1][parent] * lam[last[parent], mode])
-    paths = np.empty((len(mode), N + 2), dtype=np.int64)
-    node = np.arange(len(mode))
-    for k in range(N + 1, -1, -1):
-        paths[:, k] = modes[k][node]
-        node = parents[k][node] if k else node
-    return PathEnsemble(paths, weights[-1], modes, parents, weights)
+    return PathEnsemble(modes, parents, weights)
 
 
 def _terminal_from(terminal, model):

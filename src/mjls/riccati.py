@@ -40,8 +40,8 @@ the gain.  Only numpy is needed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -366,29 +366,59 @@ def care_residual(P, model: MjlsModel) -> float:
                             np.asarray(P, dtype=float))
 
 
+@lru_cache(maxsize=16)
+def _stage_template(L: int, n: int, m: int, mirror: bool) -> str:
+    """``str.format`` template of one stage of ``riccati.csv``.
+
+    Field 0 is the stage; then come the P entries of each mode, only its
+    upper triangle (row-major) when ``mirror`` is set, and then the m x n
+    gain entries of each mode; ``m = 0`` writes no gain columns.
+    """
+    size = n * (n + 1) // 2 if mirror else n * n
+    upper = {rc: j for j, rc in enumerate(zip(*np.triu_indices(n)))}
+    gain = 1 + L * size
+    lines = []
+    for i in range(L):
+        for row in range(max(n, m)):
+            for col in range(n):
+                if row >= n:
+                    head = f"{{0}},{i},,{col},"
+                else:
+                    at = (upper[min(row, col), max(row, col)] if mirror
+                          else row * n + col)
+                    head = f"{{0}},{i},{row},{col},{{{1 + i * size + at}}}"
+                tail = (f",{row},{col},{{{gain + (i * m + row) * n + col}}}"
+                        if row < m else ",,,")
+                lines.append(head + tail + "\r\n")
+    return "".join(lines)
+
+
 def write_riccati_csv(sol: FiniteHorizonSolution, path):
     """Dump per-stage Riccati coefficients and gains to CSV.
 
     Columns: ``k, mode, row, col, P, gain_row, gain_col, K``.  Each stage k,
     mode i contributes one line per matrix entry; the gain columns are empty
     where no gain entry exists (terminal stage, or row/col outside the gain
-    shape).  Floats are written with ``repr`` so files are byte-reproducible.
+    shape).  The file holds the bytes ``csv.writer`` writes for these rows:
+    floats with ``repr``, empty fields, CRLF line ends.  Each distinct float
+    is formatted once: a stage whose P stack is bitwise symmetric formats
+    only its upper triangles.
     """
     n = sol.P[-1].shape[1]
     m = sol.K[0].shape[1] if sol.solvable else 0
+    upper = np.triu_indices(n)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mode", "row", "col", "P",
-                         "gain_row", "gain_col", "K"])
+        fh.write("k,mode,row,col,P,gain_row,gain_col,K\r\n")
         for k, P_k in enumerate(sol.P):
             if P_k is None:
                 continue
-            K_k = sol.K[k].tolist() if m and k <= sol.horizon else None
-            for i, p in enumerate(P_k.tolist()):
-                for row in range(max(n, m) if K_k else n):
-                    for col in range(n):
-                        cells = ([k, i, row, col, repr(p[row][col])]
-                                 if row < n else [k, i, "", col, ""])
-                        cells += ([row, col, repr(K_k[i][row][col])]
-                                  if K_k and row < m else ["", "", ""])
-                        writer.writerow(cells)
+            P_k = np.asarray(P_k, dtype=float)
+            bits = P_k.view(np.uint64)
+            mirror = np.array_equal(bits, bits.swapaxes(1, 2))
+            fields = (P_k[:, upper[0], upper[1]] if mirror else P_k).ravel()
+            fields = fields.tolist()
+            gains = m if k <= sol.horizon else 0
+            if gains:
+                fields += np.ravel(sol.K[k]).tolist()
+            template = _stage_template(len(P_k), n, gains, mirror)
+            fh.write(template.format(k, *map(float.__repr__, fields)))

@@ -19,7 +19,6 @@ runs agree bitwise.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,9 +259,10 @@ def monte_carlo_cost(model: MjlsModel, policy: Policy | None, trials: int,
     """Sample mean and standard error of the rollout cost.
 
     Trial t draws its own stream from (seed, t); trials are processed in
-    contiguous chunks (one per worker) whose costs are joined in trial
-    order, and the mean uses numpy's pairwise summation over that fixed
-    order, so the result does not depend on the worker count.
+    ``workers`` contiguous chunks, one after another, whose costs are
+    joined in trial order, and the mean uses numpy's pairwise summation
+    over that fixed order, so the result does not depend on the chunk
+    count.
     """
     if trials < 2:
         raise InvalidInput("at least two trials are needed")
@@ -285,8 +285,7 @@ def monte_carlo_cost(model: MjlsModel, policy: Policy | None, trials: int,
     bounds = np.linspace(0, trials, max(workers, 1) + 1).astype(int)
     spans = [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])
              if hi > lo]
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        return cost_statistics(np.concatenate(list(pool.map(run, spans))))
+    return cost_statistics(np.concatenate([run(span) for span in spans]))
 
 
 def write_trajectory_csv(trajectories, path, model: MjlsModel):

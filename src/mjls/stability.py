@@ -20,8 +20,8 @@ Linear Systems, 2005, ch. 3).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -276,17 +276,27 @@ def is_stabilizable(model: MjlsModel, **care_options) -> bool | None:
     return True
 
 
+@lru_cache(maxsize=8)
+def _moment_template(L: int) -> str:
+    """``str.format`` template of one stage of the moment CSV: field 0 is
+    the stage, fields 1..L the traces and field L + 1 their total."""
+    return "".join(f"{{0}},{i},{{{i + 1}}},{{{L + 1}}}\r\n" for i in range(L))
+
+
 def write_moment_csv(chain: SecondMomentChain, path):
     """Dump per-mode second-moment traces to CSV.
 
     Columns: ``k, mode, trace, total`` where ``total`` repeats
-    E||x(k)||^2 = sum_i trace(X[k][i]) on each row of stage k.
+    E||x(k)||^2 = sum_i trace(X[k][i]) on each row of stage k.  The file
+    holds the bytes ``csv.writer`` writes for these rows: floats with
+    ``repr``, CRLF line ends.
     """
     traces = chain.traces()
     totals = traces.sum(axis=1)
+    template = _moment_template(traces.shape[1])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mode", "trace", "total"])
-        for k, (row, total) in enumerate(zip(traces.tolist(), totals)):
-            writer.writerows([k, i, repr(t), repr(float(total))]
-                             for i, t in enumerate(row))
+        fh.write("k,mode,trace,total\r\n")
+        for k, (row, total) in enumerate(zip(traces.tolist(),
+                                             totals.tolist())):
+            fh.write(template.format(k, *map(float.__repr__, row),
+                                     float.__repr__(total)))

@@ -6,8 +6,8 @@ multiplies out the state-transition products literally, the spectral
 radius oracle is a dense eigendecomposition, and the coupled Riccati step,
 observability Gramian, moment recursion and lifted operator are literal
 loops over modes (the package works on stacked arrays).  The path
-enumeration and the trajectory CSV writer are literal versions of the
-mode-first extension and of ``csv.writer`` rows.
+enumeration and the trajectory, Riccati and second-moment CSV writers are
+literal versions of the mode-first extension and of ``csv.writer`` rows.
 """
 
 import csv
@@ -365,3 +365,43 @@ def literal_trajectory_csv(trajectories, path, model):
                 else:
                     row += [""] * m + [repr(float(traj.terminal_cost))]
                 writer.writerow(row)
+
+
+def literal_riccati_csv(sol, path):
+    """``riccati.csv`` through ``csv.writer``, one matrix entry at a time."""
+    n = sol.P[-1].shape[1]
+    m = sol.K[0].shape[1] if sol.solvable else 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "mode", "row", "col", "P",
+                         "gain_row", "gain_col", "K"])
+        for k, P_k in enumerate(sol.P):
+            if P_k is None:
+                continue
+            gains = m > 0 and k <= sol.horizon
+            for i in range(len(P_k)):
+                for row in range(max(n, m) if gains else n):
+                    for col in range(n):
+                        if row < n:
+                            cells = [k, i, row, col,
+                                     repr(float(P_k[i][row][col]))]
+                        else:
+                            cells = [k, i, "", col, ""]
+                        if gains and row < m:
+                            cells += [row, col,
+                                      repr(float(sol.K[k][i][row][col]))]
+                        else:
+                            cells += ["", "", ""]
+                        writer.writerow(cells)
+
+
+def literal_moment_csv(chain, path):
+    """A second-moment CSV through ``csv.writer``, one mode at a time."""
+    traces = chain.traces()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "mode", "trace", "total"])
+        for k in range(len(traces)):
+            total = repr(float(traces[k].sum()))
+            for i in range(traces.shape[1]):
+                writer.writerow([k, i, repr(float(traces[k, i])), total])

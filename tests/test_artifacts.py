@@ -1,0 +1,221 @@
+"""The artifact writers write the bytes of the standard library's writers.
+
+``write_json`` is held against a literal ``json.dump(indent=2,
+sort_keys=True)``, and the Riccati and second-moment CSV writers against
+the ``csv.writer`` loops in ``corpus.py``.  The memory guards check that
+the writers stream: neither holds a whole (50, 10), N = 40 document.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mjls import (
+    FiniteHorizonSolution,
+    MjlsModel,
+    Policy,
+    propagate_second_moment,
+    save_model,
+    solve_finite,
+    write_moment_csv,
+    write_riccati_csv,
+)
+from mjls.artifacts import write_json
+
+from conftest import scalar_model, two_mode_benchmark
+from corpus import (
+    literal_moment_csv,
+    literal_riccati_csv,
+    random_stationary_policy,
+    stacked_corpus,
+)
+
+
+def literal_json(obj, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+NAN, INF = float("nan"), float("inf")
+DOCUMENTS = [
+    {"nan": NAN, "inf": INF, "-inf": -INF, "zero": -0.0, "tiny": 5e-324,
+     "huge": 1e300},
+    [NAN, INF, -INF, -0.0, 5e-324, 1e300, 0.1, -2.5e-17],
+    {"empty": [], "nothing": {}, "nested": {"b": {"c": [[], {}]}, "a": 1}},
+    {"int": 3, "neg": -7, "big": 10 ** 30, "true": True, "false": False,
+     "none": None},
+    {"ascii": "plain", "accents": "Σ ü ñ 日本", "sep": "a, b", "quote": 'x"y',
+     "escapes": "tab\tnewline\nback\\slash\u0001", "ß": "key"},
+    [1, 2.0, 3, 4.5], [2.0, 1], [True, 1.5], [None, 0.5], [1.5, "s"],
+    (1.0, 2.0), {"tuple": (1, (2.5, 3.5), ()), "list": [(0.5,), [1.0]]},
+    {"floats": [[1.0, NAN], [-INF, 2.0]], "mixed": [[1, 2], [0.5, 1]]},
+    [np.float64(0.1), np.float64(-3.0)], {"x": np.float64(1e-300)},
+    [], {}, 3.25, -0.0, NAN, 7, True, None, "text",
+]
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("doc", DOCUMENTS, ids=range(len(DOCUMENTS)))
+    def test_matches_json_dump(self, tmp_path, doc):
+        ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+        write_json(doc, ours)
+        literal_json(doc, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_matches_json_dump_on_random_stacks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        stacks = rng.standard_normal((3, 4, 2, 3)) * 10.0 ** rng.integers(
+            -300, 300, (3, 4, 2, 3))
+        doc = {"gains": [[g.tolist() for g in stage] for stage in stacks],
+               "ints": rng.integers(-9, 9, 5).tolist(), "cost": 1.5}
+        ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+        write_json(doc, ours)
+        literal_json(doc, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("doc", [{"a": np.int64(1)}, [object()],
+                                     np.zeros(2)])
+    def test_unserializable_raises_type_error(self, tmp_path, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            write_json(doc, tmp_path / "ours.json")
+
+    @pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
+    def test_keys_other_than_strings_raise_type_error(self, tmp_path, key):
+        with pytest.raises(TypeError):
+            write_json({key: 0.5}, tmp_path / "ours.json")
+
+    def test_save_model_writes_json_dump_bytes(self, tmp_path):
+        model = two_mode_benchmark()
+        save_model(model, tmp_path / "ours.json")
+        literal_json(model.to_dict(), tmp_path / "ref.json")
+        assert ((tmp_path / "ours.json").read_bytes()
+                == (tmp_path / "ref.json").read_bytes())
+
+
+def assert_riccati_bytes(tmp_path, sol):
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_riccati_csv(sol, ours)
+    literal_riccati_csv(sol, ref)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+def hand_built_solution(P, K):
+    """A solvable two-stage solution from given (L, n, n) and (L, m, n)
+    stacks; stage 1 is the terminal stage."""
+    return FiniteHorizonSolution(
+        horizon=0, P=[P, P], Upsilon=[None], M=[None], K=[K],
+        upsilon_min_eig=[None], solvable=True)
+
+
+class TestRiccatiCsv:
+    def test_matches_csv_writer_on_corpus(self, tmp_path):
+        rng = np.random.default_rng(7)
+        shapes = set()
+        for model in stacked_corpus(rng, count=24):
+            n, m = model.state_dim, model.input_dim
+            shapes.add(m > n)
+            sol = solve_finite(model, [np.eye(n)] * model.mode_count, 3)
+            assert sol.solvable
+            assert_riccati_bytes(tmp_path, sol)
+        assert shapes == {False, True}
+
+    def test_unsolvable_solution_writes_no_gains(self, tmp_path):
+        model = MjlsModel(
+            A=[np.eye(2), np.zeros((2, 2))], B=[np.eye(2)[:, :1]] * 2,
+            Q=[np.eye(2), np.zeros((2, 2))], R=[[[1.0]], [[0.0]]],
+            transition=[[0.5, 0.5], [0.0, 1.0]],
+            initial_distribution=[0.5, 0.5], x0=[1.0, 1.0])
+        sol = solve_finite(model, [np.eye(2)] * 2, 4,
+                           raise_on_breakdown=False)
+        assert not sol.solvable and sol.K[4] is not None
+        assert_riccati_bytes(tmp_path, sol)
+        sol = solve_finite(scalar_model(a=1.0, b=1.0, q=0.0, r=0.0),
+                           [np.zeros((1, 1))], 3, raise_on_breakdown=False)
+        assert not sol.solvable
+        assert_riccati_bytes(tmp_path, sol)
+
+    def test_asymmetric_stacks_are_written_entry_by_entry(self, tmp_path):
+        rng = np.random.default_rng(11)
+        K = rng.standard_normal((2, 3, 2))
+        P = rng.standard_normal((2, 2, 2))
+        assert_riccati_bytes(tmp_path, hand_built_solution(P, K))
+        # Equal by value, not by bits: a mirrored -0.0 would print as 0.0.
+        P = np.array([[[1.0, 0.0], [-0.0, 2.0]], [[1.0, 0.5], [0.5, 1.0]]])
+        assert np.array_equal(P, P.swapaxes(1, 2))
+        assert_riccati_bytes(tmp_path, hand_built_solution(P, K))
+        P = np.array([[[NAN, INF], [INF, -INF]]])
+        assert_riccati_bytes(tmp_path, hand_built_solution(P, K[:1]))
+
+    def test_transposed_views_are_read_by_value(self, tmp_path):
+        rng = np.random.default_rng(13)
+        P = rng.standard_normal((3, 3, 3)).swapaxes(1, 2)
+        K = rng.standard_normal((3, 3, 1)).swapaxes(1, 2)
+        assert_riccati_bytes(tmp_path, hand_built_solution(P, K))
+
+
+class TestMomentCsv:
+    def test_matches_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(17)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        for model in stacked_corpus(rng, count=12):
+            for policy in (None, random_stationary_policy(rng, model)):
+                chain = propagate_second_moment(model, policy, 9)
+                write_moment_csv(chain, ours)
+                literal_moment_csv(chain, ref)
+                assert ours.read_bytes() == ref.read_bytes()
+
+    def test_staged_policy_and_zero_steps(self, tmp_path, bench):
+        sol = solve_finite(bench, [np.eye(2)] * 2, 5)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        for steps in (0, 6):
+            chain = propagate_second_moment(bench, sol.policy(), steps)
+            write_moment_csv(chain, ours)
+            literal_moment_csv(chain, ref)
+            assert ours.read_bytes() == ref.read_bytes()
+        chain = propagate_second_moment(
+            bench, Policy.stationary(sol.K[0]), 8)
+        write_moment_csv(chain, ours)
+        literal_moment_csv(chain, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+def traced_peak(write, *args) -> int:
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryGuard:
+    # The (50, 10), N = 40 artifacts of `solve-finite`: 3.5 MB of
+    # gains.json and 9.1 MB of riccati.csv, from random stacks.
+    L, n, m, N = 50, 10, 5, 40
+
+    def test_gains_document_streams(self, tmp_path):
+        rng = np.random.default_rng(19)
+        K = rng.standard_normal((self.N + 1, self.L, self.m, self.n))
+        doc = {"gains": [[g.tolist() for g in stage] for stage in K],
+               "upsilon_min_eigenvalues": rng.uniform(
+                   0.1, 2.0, (self.N + 1, self.L)).tolist(),
+               "horizon": self.N, "optimal_cost": 1.0}
+        # A whole-document string would peak near 10 MB.
+        assert traced_peak(write_json, doc, tmp_path / "gains.json") < 1e6
+
+    def test_riccati_csv_streams(self, tmp_path):
+        rng = np.random.default_rng(23)
+        G = rng.standard_normal((self.L, self.n, self.n))
+        P = G + G.swapaxes(1, 2)
+        K = rng.standard_normal((self.L, self.m, self.n))
+        stages = [None] * (self.N + 1)
+        sol = FiniteHorizonSolution(
+            horizon=self.N, P=[P] * (self.N + 2), Upsilon=stages, M=stages,
+            K=[K] * (self.N + 1), upsilon_min_eig=stages, solvable=True)
+        assert traced_peak(write_riccati_csv, sol,
+                           tmp_path / "riccati.csv") < 2e6

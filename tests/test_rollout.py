@@ -197,6 +197,20 @@ class TestPrefixTree:
         assert report["passed"]
         assert len(calls) == 1
 
+    def test_verification_never_builds_paths(self, bench, monkeypatch):
+        ensembles = []
+        real = mjls.oracle.enumerate_paths
+
+        def keeping(*args, **kwargs):
+            ensembles.append(real(*args, **kwargs))
+            return ensembles[-1]
+
+        monkeypatch.setattr(mjls.oracle, "enumerate_paths", keeping)
+        assert verification_report(bench, 5, [np.eye(2)] * 2)["passed"]
+        (ens,) = ensembles
+        assert "paths" not in vars(ens)
+        assert np.array_equal(ens.paths, literal_mode_first_paths(bench, 5)[0])
+
     def test_wide_tree_memory_guard(self):
         # 2**16 paths; 93 MB is what the per-path oracle peaked at here.
         model = two_mode_benchmark()
