@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,11 @@ from .stability import is_exactly_observable, is_mss, \
 __all__ = ["main", "entry_point"]
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call and reused:
+    each ``parse_args`` fills a fresh namespace, so no call sees another's
+    flags."""
     parser = argparse.ArgumentParser(
         prog="mjls",
         description="LQR and mean-square stabilization for discrete-time "

@@ -12,14 +12,16 @@ elementwise operations, so a node's numbers do not depend on its batch.
 
 Sampling is deterministic given a seed: modes are drawn by inverse CDF over
 the cumulative transition row (ascending mode order, so ties at probability
-boundaries resolve the same way everywhere), and Monte Carlo trials derive
-independent per-trial streams from (seed, trial index) so serial and parallel
-runs agree bitwise.
+boundaries resolve the same way everywhere).  Monte Carlo trials read one
+stream, ``default_rng(seed)``, in consecutive blocks of N+2 uniforms, trial t
+taking draws t(N+2) .. (t+1)(N+2) - 1; a chunk of trials jumps the PCG64
+state ahead to its first draw, so chunked and whole runs agree bitwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,7 +59,9 @@ def _inverse_cdf(transition, pi0, uniforms):
 def sample_markov_chain(transition, initial_distribution, N: int, seed):
     """Sample one mode path theta(0..N+1); deterministic given ``seed``.
 
-    ``seed`` may be an int, a SeedSequence, or a Generator.
+    ``seed`` may be an int, a SeedSequence, or a Generator.  For an int
+    seed s, this path is trial 0 of :func:`simulate_trials` and
+    :func:`monte_carlo_cost` at seed s.
     """
     transition = np.asarray(transition, dtype=float)
     pi0 = np.asarray(initial_distribution, dtype=float)
@@ -74,15 +78,15 @@ def sample_markov_chain(transition, initial_distribution, N: int, seed):
 def _sample_trials(model, first, trials, seed, N):
     """Mode paths of trials [first, first + trials) as a (trials, N+2) array.
 
-    Trial t draws the same uniforms from its (seed, t) stream as
-    :func:`sample_markov_chain`, so the paths match it draw for draw.
+    Trial t reads draws t(N+2) .. (t+1)(N+2) - 1 of ``default_rng(seed)``;
+    the stream is advanced past the trials before ``first``, so any split
+    into spans gives the rows of the whole block bitwise.  A Generator
+    ``seed`` raises TypeError: its state would carry over between spans.
     """
-    uniforms = np.empty((trials, N + 2))
-    for t in range(trials):
-        uniforms[t] = np.random.default_rng(np.random.SeedSequence(
-            entropy=seed, spawn_key=(first + t,))).random(N + 2)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.bit_generator.advance(first * (N + 2))
     return _inverse_cdf(model.transition, model.initial_distribution,
-                        uniforms)
+                        rng.random((trials, N + 2)))
 
 
 def matvec(M, v):
@@ -239,9 +243,10 @@ def simulate_trials(model: MjlsModel, policy: Policy | None, trials: int,
                     seed, N: int, terminal=None) -> list:
     """Sample and roll trials 0..trials-1 in one batch.
 
-    Trial t follows the mode path that :func:`sample_markov_chain` draws
-    from ``SeedSequence(entropy=seed, spawn_key=(t,))``, and its
-    ``total_cost`` is the value :func:`monte_carlo_cost` averages.
+    Trial t follows the mode path drawn from block t of the one stream
+    ``default_rng(seed)`` (trial 0 is :func:`sample_markov_chain` at
+    ``seed``), and its ``total_cost`` is the value
+    :func:`monte_carlo_cost` averages.
     """
     gains = _check_rollout_args(model, policy, N, terminal)
     modes = _sample_trials(model, 0, trials, seed, N)
@@ -258,11 +263,12 @@ def monte_carlo_cost(model: MjlsModel, policy: Policy | None, trials: int,
                      seed, N: int, terminal=None, workers: int = 1):
     """Sample mean and standard error of the rollout cost.
 
-    Trial t draws its own stream from (seed, t); trials are processed in
-    ``workers`` contiguous chunks, one after another, whose costs are
-    joined in trial order, and the mean uses numpy's pairwise summation
-    over that fixed order, so the result does not depend on the chunk
-    count.
+    Trials read consecutive blocks of the one stream ``default_rng(seed)``
+    (see :func:`simulate_trials`).  They are processed in ``workers``
+    contiguous chunks, one after another, each advancing the stream to its
+    first trial; the costs are joined in trial order, and the mean uses
+    numpy's pairwise summation over that fixed order, so the result does
+    not depend on the chunk count.
     """
     if trials < 2:
         raise InvalidInput("at least two trials are needed")
@@ -288,14 +294,36 @@ def monte_carlo_cost(model: MjlsModel, policy: Policy | None, trials: int,
     return cost_statistics(np.concatenate([run(span) for span in spans]))
 
 
+@lru_cache(maxsize=16)
+def _trial_template(N: int, n: int, m: int) -> str:
+    """``str.format`` template of one trial's rows of ``trajectories.csv``.
+
+    Field 0 is the trial, fields 1..N+2 the modes; then come the (N+2) x n
+    states, the (N+1) x m controls and the N+2 cost entries, the last of
+    them the terminal penalty, whose row leaves the control fields empty.
+    """
+    x0 = N + 3
+    u0 = x0 + (N + 2) * n
+    c0 = u0 + (N + 1) * m
+    lines = []
+    for k in range(N + 2):
+        xs = "".join(f",{{{x0 + k * n + d}}}" for d in range(n))
+        us = ("".join(f",{{{u0 + k * m + d}}}" for d in range(m))
+              if k <= N else "," * m)
+        lines.append(f"{{0}},{k},{{{1 + k}}}{xs}{us},{{{c0 + k}}}\r\n")
+    return "".join(lines)
+
+
 def write_trajectory_csv(trajectories, path, model: MjlsModel):
     """Dump sampled rollouts to CSV.
 
     Columns: ``trial, k, mode, x_1..x_n, u_1..u_m, stage_cost``.  The final
     row of each trial (k = N+1) carries the terminal state; its control
     columns are empty and its ``stage_cost`` column holds the terminal
-    penalty, so each trial's column sum reproduces the total cost.  Floats
-    are written with ``repr`` and rows end in CRLF, as ``csv.writer`` does.
+    penalty, so each trial's column sum reproduces the total cost.  The file
+    holds the bytes ``csv.writer`` writes for these rows: floats with
+    ``repr``, CRLF line ends.  Each trial is formatted with one
+    ``str.format`` call and written on its own.
     """
     n, m = model.state_dim, model.input_dim
     header = (["trial", "k", "mode"]
@@ -305,11 +333,9 @@ def write_trajectory_csv(trajectories, path, model: MjlsModel):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for trial, traj in enumerate(trajectories):
-            tails = [list(map(repr, u)) + [repr(c)] for u, c in zip(
-                traj.controls.tolist(), traj.stage_costs.tolist())]
-            tails.append([""] * m + [repr(float(traj.terminal_cost))])
-            fh.write("".join(
-                ",".join([str(trial), str(k), str(mode)]
-                         + list(map(repr, x)) + tail) + "\r\n"
-                for k, (mode, x, tail) in enumerate(zip(
-                    traj.modes.tolist(), traj.states.tolist(), tails))))
+            floats = np.concatenate([
+                np.ravel(traj.states), np.ravel(traj.controls),
+                traj.stage_costs, [traj.terminal_cost]]).tolist()
+            template = _trial_template(len(traj.modes) - 2, n, m)
+            fh.write(template.format(trial, *traj.modes.tolist(),
+                                     *map(float.__repr__, floats)))

@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mjls import MjlsModel, save_model
+from mjls import (
+    MjlsModel,
+    load_model,
+    optimal_cost_finite,
+    save_model,
+    solve_finite,
+)
 from mjls.cli import main
 
 from conftest import edge_model, scalar_model
@@ -197,6 +203,51 @@ class TestSimulate:
                      "--horizon", "5", "--trials", "1",
                      "--out", str(tmp_path / "out")])
         assert code == 1
+
+
+class TestParserReuse:
+    """Consecutive ``main`` calls share one parser and no flags."""
+
+    def run(self, *argv):
+        return main([*map(str, argv)])
+
+    def test_trials_default_returns(self, bench_file, tmp_path):
+        out = tmp_path / "out"
+        common = ["simulate", "--model", bench_file, "--horizon", 3,
+                  "--out", out]
+        assert self.run(*common, "--trials", 5) == 0
+        assert self.run(*common) == 0
+        stats = json.loads((out / "cost_stats.json").read_text())
+        assert stats["trials"] == 50
+        lines = (out / "trajectories.csv").read_text().splitlines()
+        assert len(lines) == 1 + 50 * 5
+
+    def test_terminal_default_returns(self, bench_file, tmp_path):
+        model = load_model(bench_file)
+        common = ["solve-finite", "--model", bench_file, "--horizon", 4]
+        assert self.run(*common, "--terminal", "identity",
+                        "--out", tmp_path / "a") == 0
+        assert self.run(*common, "--out", tmp_path / "b") == 0
+        zero = optimal_cost_finite(
+            solve_finite(model, [np.zeros((2, 2))] * 2, 4), model)
+        identity = optimal_cost_finite(
+            solve_finite(model, [np.eye(2)] * 2, 4), model)
+        assert zero != identity
+        costs = [json.loads((tmp_path / d / "gains.json").read_text())[
+            "optimal_cost"] for d in "ab"]
+        assert costs == [identity, zero]
+
+    def test_argparse_error_then_valid_call(self, bench_file, tmp_path,
+                                           capsys):
+        for bad in (["simulate", "--no-such-flag"],
+                    ["simulate", "--model", bench_file, "--horizon", "x"],
+                    ["no-such-command"]):
+            with pytest.raises(SystemExit) as info:
+                self.run(*bad)
+            assert info.value.code == 2
+        assert self.run("simulate", "--model", bench_file, "--horizon", 2,
+                        "--out", tmp_path / "out") == 0
+        assert "50 trials" in capsys.readouterr().out
 
 
 class TestVerify:

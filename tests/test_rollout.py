@@ -26,6 +26,7 @@ from mjls import (
     rollout,
     sample_markov_chain,
     save_model,
+    simulate_closed_loop,
     simulate_trials,
     solve_finite,
     verification_report,
@@ -49,6 +50,16 @@ def corpus_policies(rng, model, N):
         rng.uniform(-0.5, 0.5, (N + 1, model.mode_count, model.input_dim,
                                 model.state_dim)))
     return [None, random_stationary_policy(rng, model, scale=0.5), staged]
+
+
+def stream_paths(model, seed, N, trials):
+    """The mode paths of trials 0..trials-1 at ``seed``: consecutive
+    :func:`sample_markov_chain` draws from the one stream
+    ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return np.array([sample_markov_chain(model.transition,
+                                         model.initial_distribution, N, rng)
+                     for _ in range(trials)])
 
 
 def flat_rollout(model, policy, paths, terminal):
@@ -106,16 +117,13 @@ class TestFlatTree:
             transition=[[0.9, 0.1], [0.9, 0.1]],
             initial_distribution=[1.0, 0.0], x0=[1.0])
 
-        def diverges(seed, t):
-            path = sample_markov_chain(
-                model.transition, model.initial_distribution, 10,
-                np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-            return np.count_nonzero(path[:11] == 1) >= 2
+        def diverging(seed):
+            return [np.count_nonzero(path[:11] == 1) >= 2
+                    for path in stream_paths(model, seed, 10, 8)]
 
         seed = next(s for s in range(100)
-                    if not diverges(s, 0) and any(diverges(s, t)
-                                                  for t in range(8)))
-        first = next(t for t in range(8) if diverges(seed, t))
+                    if not diverging(s)[0] and any(diverging(s)))
+        first = diverging(seed).index(True)
         for workers in (1, 8):
             with pytest.raises(DivergedTrajectory) as info:
                 monte_carlo_cost(model, None, 8, seed, 10, workers=workers)
@@ -233,18 +241,14 @@ class TestSimulateCommand:
                      *extra]) == 0
         return out
 
-    def test_mode_paths_follow_per_trial_streams(self, tmp_path):
+    def test_mode_paths_follow_one_stream(self, tmp_path):
         model = two_mode_benchmark()
         out = self.run(tmp_path, model, "--horizon", "7", "--trials", "40",
                        "--seed", "12")
         data = np.genfromtxt(out / "trajectories.csv", delimiter=",",
                              skip_header=1)
         modes = data[:, 2].astype(int).reshape(40, 9)
-        for t in range(40):
-            expected = sample_markov_chain(
-                model.transition, model.initial_distribution, 7,
-                np.random.SeedSequence(entropy=12, spawn_key=(t,)))
-            assert np.array_equal(modes[t], expected)
+        assert np.array_equal(modes, stream_paths(model, 12, 7, 40))
 
     def test_mean_cost_is_mean_of_written_totals(self, tmp_path):
         out = self.run(tmp_path, two_mode_benchmark(), "--horizon", "12",
@@ -258,6 +262,24 @@ class TestSimulateCommand:
                                                    rel=1e-12)
 
 
+def assert_csv_writer_bytes(tmp_path, trajectories, model):
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_trajectory_csv(trajectories, ours, model)
+    literal_trajectory_csv(trajectories, ref, model)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+def odd_trajectory(N, n, m):
+    """Signed zero, subnormal, huge and non-finite values in every field."""
+    odd = np.array([-0.0, 5e-324, 1.5e300, 0.1, np.inf, -np.inf, np.nan])
+    return Trajectory(
+        modes=np.zeros(N + 2, dtype=np.int64),
+        states=np.resize(odd, (N + 2, n)),
+        controls=np.resize(odd[::-1], (N + 1, m)),
+        stage_costs=np.resize(odd, N + 1), terminal_cost=-0.0,
+        total_cost=0.0)
+
+
 class TestTrajectoryCsvBytes:
     def test_matches_csv_writer(self, tmp_path):
         rng = np.random.default_rng(84)
@@ -265,16 +287,57 @@ class TestTrajectoryCsvBytes:
             term = [np.eye(model.state_dim)] * model.mode_count
             policy = random_stationary_policy(rng, model, scale=0.5)
             trajectories = simulate_trials(model, policy, 5, 3, 4, term)
-            n, m = model.state_dim, model.input_dim
-            # Signed zero, subnormal, huge and non-finite values.
-            odd = np.array([-0.0, 5e-324, 1.5e300, 0.1, np.inf, np.nan])
-            trajectories.append(Trajectory(
-                modes=np.zeros(4, dtype=np.int64),
-                states=np.resize(odd, (4, n)),
-                controls=np.resize(odd[::-1], (3, m)),
-                stage_costs=np.resize(odd, 3), terminal_cost=-0.0,
-                total_cost=0.0))
-            ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-            write_trajectory_csv(trajectories, ours, model)
-            literal_trajectory_csv(trajectories, ref, model)
-            assert ours.read_bytes() == ref.read_bytes()
+            trajectories.append(
+                odd_trajectory(2, model.state_dim, model.input_dim))
+            assert_csv_writer_bytes(tmp_path, trajectories, model)
+
+    def test_zero_horizon(self, tmp_path):
+        model = two_mode_benchmark()
+        trajectories = simulate_trials(model, None, 6, 5, 0)
+        trajectories.append(odd_trajectory(0, 2, 1))
+        assert_csv_writer_bytes(tmp_path, trajectories, model)
+
+    def test_mixed_horizons_in_one_list(self, tmp_path):
+        model = two_mode_benchmark()
+        term = [np.eye(2)] * 2
+        sol = solve_finite(model, term, 7)
+        trajectories = [simulate_closed_loop(model, sol.policy(), term,
+                                             seed=N, N=N)
+                        for N in (0, 3, 7, 3, 0)]
+        trajectories.insert(2, odd_trajectory(5, 2, 1))
+        assert_csv_writer_bytes(tmp_path, trajectories, model)
+
+    def test_more_inputs_than_states(self, tmp_path):
+        rng = np.random.default_rng(85)
+        model = MjlsModel(
+            A=rng.uniform(-1.0, 1.0, (3, 1, 1)),
+            B=rng.uniform(-1.0, 1.0, (3, 1, 4)),
+            Q=[np.eye(1)] * 3, R=[np.eye(4)] * 3,
+            transition=[[0.5, 0.3, 0.2]] * 3,
+            initial_distribution=[0.2, 0.3, 0.5], x0=[1.5])
+        policy = random_stationary_policy(rng, model, scale=0.5)
+        trajectories = simulate_trials(model, policy, 4, 8, 3)
+        trajectories.append(odd_trajectory(1, 1, 4))
+        assert_csv_writer_bytes(tmp_path, trajectories, model)
+
+    def test_empty_list_writes_header_only(self, tmp_path):
+        model = two_mode_benchmark()
+        assert_csv_writer_bytes(tmp_path, [], model)
+        assert (tmp_path / "ours.csv").read_bytes() == (
+            b"trial,k,mode,x_1,x_2,u_1,stage_cost\r\n")
+
+    def test_writer_streams(self, tmp_path):
+        # 2000 trials at N = 20 fill 3.6 MB of CSV; a whole-file string
+        # would hold all of it at once.
+        model = two_mode_benchmark()
+        term = [np.eye(2)] * 2
+        sol = solve_finite(model, term, 20)
+        trajectories = simulate_trials(model, sol.policy(), 2000, 6, 20,
+                                       term)
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(trajectories, tmp_path / "t.csv", model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6

@@ -10,11 +10,14 @@ from mjls import (
     monte_carlo_cost,
     sample_markov_chain,
     simulate_closed_loop,
+    simulate_trials,
     solve_finite,
     write_trajectory_csv,
 )
 
-from conftest import scalar_model
+from mjls.sim import _sample_trials, cost_statistics
+
+from conftest import scalar_model, two_mode_benchmark
 from corpus import random_model, random_stationary_policy
 
 
@@ -192,6 +195,46 @@ class TestMonteCarloCost:
             exact = exact_cost(model, policy, 5)
             mean, se = monte_carlo_cost(model, policy, 20000, 13, 5)
             assert abs(mean - exact) <= 3.0 * se + 1e-12
+
+
+class TestOneStream:
+    """Trial t reads draws t(N+2) .. (t+1)(N+2) - 1 of default_rng(seed)."""
+
+    def test_spans_equal_the_whole_block(self):
+        rng = np.random.default_rng(3)
+        for model in (two_mode_benchmark(), random_model(rng, L_max=4)):
+            whole = _sample_trials(model, 0, 40, 21, 6)
+            for a, b in ((0, 0), (1, 1), (3, 17), (0, 40), (39, 40),
+                         (13, 14)):
+                parts = [_sample_trials(model, lo, hi - lo, 21, 6)
+                         for lo, hi in ((0, a), (a, b), (b, 40))]
+                assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_trial_zero_is_sample_markov_chain(self, bench):
+        for seed in (0, 1, 77, 2**40):
+            for N in (0, 5):
+                trajectories = simulate_trials(bench, None, 3, seed, N)
+                assert np.array_equal(trajectories[0].modes,
+                                      sample_markov_chain(
+                                          bench.transition,
+                                          bench.initial_distribution, N,
+                                          seed))
+
+    def test_generator_seed_rejected(self, bench):
+        # A stateful seed would make each chunk start where the last ended.
+        with pytest.raises(TypeError):
+            monte_carlo_cost(bench, None, 10, np.random.default_rng(3), 4,
+                             workers=2)
+
+    def test_totals_are_the_monte_carlo_costs(self, bench):
+        terminal = [np.eye(2), np.eye(2)]
+        sol = solve_finite(bench, terminal, 9)
+        totals = [t.total_cost for t in simulate_trials(
+            bench, sol.policy(), 300, 17, 9, terminal)]
+        for workers in (1, 3):
+            assert monte_carlo_cost(bench, sol.policy(), 300, 17, 9,
+                                    terminal, workers=workers) == \
+                cost_statistics(totals)
 
 
 class TestTrajectoryCsv:
