@@ -1,14 +1,19 @@
 """Command-line front end.
 
-Subcommands: ``solve-finite``, ``solve-care``, ``check``, ``simulate`` and
-``verify``; all read a model from a JSON file and write CSV/JSON artifacts
-into ``--out``.  Every run is deterministic given its flags, so repeated
-invocations produce byte-identical artifacts.
+Every subcommand reads a model JSON file (``--model``) and writes CSV/JSON
+artifacts into ``--out``, byte-identical on every run with the same flags.
+Besides those two it takes only the flags it reads:
+
+    solve-finite  --horizon --terminal
+    solve-care    --tol --max-iter
+    check         --horizon (moment steps, default 50) --tol --max-iter
+    simulate      --horizon --terminal --seed --trials
+    verify        --horizon --terminal --seed
 
 Exit codes partition the outcomes:
 
     0  success
-    1  malformed input
+    1  malformed input, or a usage error (unknown command or flag, bad value)
     2  Riccati breakdown (input-weight term not positive definite)
     3  solve-care found no stabilizing solution: the value iterates
        diverged (not mean-square stabilizable), or the step budget ran out
@@ -57,54 +62,55 @@ from .stability import is_exactly_observable, is_mss, \
 __all__ = ["main", "entry_point"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as InvalidInput: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
+# Flags besides --model and --out, and each subcommand's help and flags.
+_FLAGS = {
+    "--horizon": dict(type=int, help="stage horizon N"),
+    "--terminal": dict(default="zero", help="'zero', 'identity', or a JSON "
+                       "file holding one terminal matrix per mode"),
+    "--tol": dict(type=float, default=1e-10, help="CARE convergence "
+                  "tolerance on the relative increment of a step"),
+    "--max-iter": dict(type=int, default=10000, help="CARE step budget, "
+                       "value iterations and Newton steps together"),
+    "--seed": dict(type=int, default=0, help="RNG seed"),
+    "--trials": dict(type=int, default=50, help="Monte Carlo trial count"),
+}
+_COMMANDS = {
+    "solve-finite": ("finite-horizon coupled Riccati recursion",
+                     ("--horizon", "--terminal")),
+    "solve-care": ("infinite-horizon fixed point by value iteration and "
+                   "Newton-Kleinman steps", ("--tol", "--max-iter")),
+    "check": ("stability, observability and stabilizability report",
+              ("--horizon", "--tol", "--max-iter")),
+    "simulate": ("Monte Carlo rollouts under the optimal finite-horizon "
+                 "gains", ("--horizon", "--terminal", "--seed", "--trials")),
+    "verify": ("brute-force verification of the solver at small sizes",
+               ("--horizon", "--terminal", "--seed")),
+}
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first :func:`main` call and reused:
     each ``parse_args`` fills a fresh namespace, so no call sees another's
     flags."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mjls",
         description="LQR and mean-square stabilization for discrete-time "
                     "Markov jump linear systems")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, horizon_default=None):
+    for command, (summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--horizon", type=int, default=horizon_default,
-                       help="stage horizon N")
-        p.add_argument("--terminal", default="zero",
-                       help="'zero', 'identity', or a JSON file holding one "
-                            "terminal matrix per mode")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="CARE convergence tolerance on the relative "
-                            "increment of a step")
-        p.add_argument("--max-iter", type=int, default=10000,
-                       help="CARE step budget, value iterations and Newton "
-                            "steps together")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--trials", type=int, default=50,
-                       help="Monte Carlo trial count")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", default=".", help="artifact directory")
-
-    p = sub.add_parser("solve-finite",
-                       help="finite-horizon coupled Riccati recursion")
-    common(p)
-    p = sub.add_parser("solve-care",
-                       help="infinite-horizon fixed point by value iteration "
-                            "and Newton-Kleinman steps")
-    common(p)
-    p = sub.add_parser("check",
-                       help="stability, observability and stabilizability "
-                            "report")
-    common(p)
-    p = sub.add_parser("simulate",
-                       help="Monte Carlo rollouts under the optimal "
-                            "finite-horizon gains")
-    common(p)
-    p = sub.add_parser("verify",
-                       help="brute-force verification of the solver at "
-                            "small sizes")
-    common(p)
     return parser
 
 
@@ -297,10 +303,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        args = _build_parser().parse_args(argv)
+        return _HANDLERS[args.command](args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

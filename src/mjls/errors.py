@@ -73,4 +73,4 @@ class DivergedTrajectory(MjlsError):
 
 
 class TooLarge(MjlsError):
-    """A brute-force enumeration would exceed the configured cap."""
+    """A brute-force enumeration would exceed ``oracle.ENUMERATION_CAP``."""

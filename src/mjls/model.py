@@ -42,8 +42,8 @@ __all__ = [
     "save_model",
 ]
 
-# Tolerances used by validation (see ValidationReport) and, for PD_TOL, by
-# every positive definiteness test (see pd_floor).
+# Tolerances of validation (see ValidationReport), of factor_state_weight
+# (PSD_TOL) and of every positive definiteness test (PD_TOL, see pd_floor).
 ROW_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -87,12 +87,12 @@ def sym(matrix):
     return 0.5 * (matrix + matrix.swapaxes(-1, -2))
 
 
-def pd_floor(mats, tol: float = PD_TOL):
+def pd_floor(mats):
     """Smallest eigenvalues of a finite stack of symmetric matrices (lower
-    triangles read) and the floors ``tol * (1 + two-norm)`` they must exceed
-    to certify definiteness; one ``eigvalsh`` serves both."""
+    triangles read) and the floors ``PD_TOL * (1 + two-norm)`` they must
+    exceed to certify definiteness; one ``eigvalsh`` serves both."""
     eig = np.linalg.eigvalsh(mats)
-    return eig[..., 0], tol * (1.0 + np.abs(eig).max(axis=-1))
+    return eig[..., 0], PD_TOL * (1.0 + np.abs(eig).max(axis=-1))
 
 
 def require_finite(stack, what: str):
@@ -421,17 +421,17 @@ def lifted_matrix(abar, transition) -> np.ndarray:
         L * n * n, L * n * n)
 
 
-def factor_state_weight(Q, tol: float = PSD_TOL) -> np.ndarray:
+def factor_state_weight(Q) -> np.ndarray:
     """Factor a symmetric PSD matrix as Q = C'C.
 
-    Eigenvalues within ``tol`` of zero on the negative side are clamped to
-    zero; anything more negative raises :class:`NotPsd`.
+    Eigenvalues down to ``-PSD_TOL * max |eigenvalue|`` become zero;
+    anything more negative raises :class:`NotPsd`.
     """
     Q = _as_matrix(Q, "Q")
     if Q.shape[0] != Q.shape[1]:
         raise InvalidInput("Q must be square")
     eigval, eigvec = np.linalg.eigh(sym(Q))
-    floor = -tol * max(abs(float(eigval[0])), abs(float(eigval[-1])), 0.0)
+    floor = -PSD_TOL * max(abs(float(eigval[0])), abs(float(eigval[-1])), 0.0)
     if eigval[0] < floor:
         raise NotPsd(
             f"matrix is indefinite: min eigenvalue {eigval[0]:.3e}")

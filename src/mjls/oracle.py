@@ -40,7 +40,14 @@ __all__ = [
     "verification_report",
 ]
 
-DEFAULT_ENUMERATION_CAP = 10 ** 6
+# Largest a-priori path count L**(N+2) that enumerate_paths accepts.
+ENUMERATION_CAP = 10 ** 6
+# verification_report: tolerances of its relative and costate checks, and
+# the count and scale of its gain perturbations.
+REL_TOL = 1e-9
+COSTATE_TOL = 1e-10
+PERTURBATIONS = 25
+PERTURBATION_SCALE = 1e-2
 # Node-policy pairs per level in one batched roll: every policy of the
 # workload-sized trees shares one pass, and wide trees stay within tens of MB.
 BATCH_NODES = 2 ** 19
@@ -85,21 +92,21 @@ class PathEnsemble:
         return paths
 
 
-def enumerate_paths(model: MjlsModel, N: int,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> PathEnsemble:
+def enumerate_paths(model: MjlsModel, N: int) -> PathEnsemble:
     """Enumerate mode sequences theta(0..N+1) with exact probabilities.
 
     Zero-probability transitions are pruned while extending, but the a-priori
-    bound L**(N+2) must not exceed ``cap`` (raises :class:`TooLarge`).
+    bound L**(N+2) must not exceed ``ENUMERATION_CAP`` (raises
+    :class:`TooLarge`).
     """
     model.ensure_valid()
     if N < 0:
         raise InvalidInput("horizon must be nonnegative")
     L = model.mode_count
     total = L ** (N + 2)
-    if total > cap:
-        raise TooLarge(
-            f"{L}**{N + 2} = {total} mode sequences exceed the cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise TooLarge(f"{L}**{N + 2} = {total} mode sequences exceed the "
+                       f"cap {ENUMERATION_CAP}")
     pi0, lam = model.initial_distribution, model.transition
     start = np.nonzero(pi0 > 0.0)[0]
     modes, parents, weights = [start], [None], [pi0[start]]
@@ -159,13 +166,13 @@ def _tally_batch(model, ensemble, gains, terminal, sol=None):
 
 
 def exact_cost(model: MjlsModel, policy: Policy | None, N: int,
-               terminal=None, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+               terminal=None) -> float:
     """Expected cost of a policy, exact up to roundoff.
 
     Sums prob(prefix) * stage cost over every node of the prefix tree, in
     fixed tree order so the value is reproducible.
     """
-    ensemble = enumerate_paths(model, N, cap=cap)
+    ensemble = enumerate_paths(model, N)
     cost, _ = _tally_batch(model, ensemble, gain_stack(model, policy, N),
                            _terminal_from(terminal, model))
     return float(cost[0])
@@ -188,7 +195,7 @@ class CostateSequence:
         return len(self.eta) - 1
 
 
-def _costate_pass(model, policy, N, terminal, cap):
+def _costate_pass(model, policy, N, terminal):
     """Enumerate, roll ``policy`` once keeping every level, and form the
     conditional costates eta(k), (nodes, n, 1), at every level k = 0..N.
 
@@ -198,7 +205,7 @@ def _costate_pass(model, policy, N, terminal, cap):
     property the expectation given theta(0..k) is the transition-weighted
     sum of those terms over the node's children: one backward pass.
     """
-    ensemble = enumerate_paths(model, N, cap=cap)
+    ensemble = enumerate_paths(model, N)
     terminal = _terminal_from(terminal, model)
     levels = list(rollout(model, gain_stack(model, policy, N),
                           ensemble.modes, ensemble.parents, terminal))
@@ -217,16 +224,14 @@ def _costate_pass(model, policy, N, terminal, cap):
 
 
 def costate_from_definition(model: MjlsModel, policy: Policy | None, N: int,
-                            terminal=None,
-                            cap: int = DEFAULT_ENUMERATION_CAP
-                            ) -> CostateSequence:
+                            terminal=None) -> CostateSequence:
     """Costates from their defining conditional expectation.
 
     For each stage k and each positive-probability mode history theta(0..k),
     the expected pathwise costate integrand over the continuations, formed
     by one backward pass over the prefix tree.
     """
-    ensemble, levels, eta = _costate_pass(model, policy, N, terminal, cap)
+    ensemble, levels, eta = _costate_pass(model, policy, N, terminal)
     seq = CostateSequence(eta=[], state=[])
     prefix = ensemble.modes[0][:, None]
     for k in range(N + 1):
@@ -251,16 +256,14 @@ def _stationarity(model, ensemble, levels, eta):
 
 
 def stationarity_residual(model: MjlsModel, policy: Policy, N: int,
-                          terminal=None,
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+                          terminal=None) -> float:
     """First-order optimality defect of a policy.
 
     The optimal controller zeroes B' eta(k) + R u(k) given the mode history;
     both factors are determined by the prefix, so the residual is the largest
     norm of that expression over all stages and prefixes.
     """
-    return _stationarity(model,
-                         *_costate_pass(model, policy, N, terminal, cap))
+    return _stationarity(model, *_costate_pass(model, policy, N, terminal))
 
 
 def _relation(model, sol, ensemble, levels, eta):
@@ -283,8 +286,7 @@ def _require_solution(sol, N):
 
 
 def costate_relation_residual(model: MjlsModel, sol: FiniteHorizonSolution,
-                              N: int,
-                              cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+                              N: int) -> float:
     """Largest normalized gap between defined and closed-form costates.
 
     Under the optimal policy the costate collapses onto the state through
@@ -294,7 +296,7 @@ def costate_relation_residual(model: MjlsModel, sol: FiniteHorizonSolution,
     """
     _require_solution(sol, N)
     return _relation(model, sol, *_costate_pass(
-        model, sol.policy(), N, sol.P[N + 1], cap))
+        model, sol.policy(), N, sol.P[N + 1]))
 
 
 def _decomposition(model, sol, lhs, excess):
@@ -304,8 +306,7 @@ def _decomposition(model, sol, lhs, excess):
 
 
 def decomposition_check(model: MjlsModel, policy: Policy, N: int,
-                        sol: FiniteHorizonSolution,
-                        cap: int = DEFAULT_ENUMERATION_CAP):
+                        sol: FiniteHorizonSolution):
     """Completion-of-squares identity, evaluated exactly.
 
     For any policy the cost splits into the optimal value plus an
@@ -319,7 +320,7 @@ def decomposition_check(model: MjlsModel, policy: Policy, N: int,
     ``policy`` with the solution's terminal weight.
     """
     _require_solution(sol, N)
-    ensemble = enumerate_paths(model, N, cap=cap)
+    ensemble = enumerate_paths(model, N)
     cost, excess = _tally_batch(model, ensemble,
                                 gain_stack(model, policy, N),
                                 _terminal_from(sol.P[N + 1], model), sol)
@@ -336,8 +337,7 @@ def _perturbed_gains(sol, count, scale, seed):
 
 
 def perturbation_optimality(model: MjlsModel, sol: FiniteHorizonSolution,
-                            N: int, count: int, scale: float, seed,
-                            cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+                            N: int, count: int, scale: float, seed) -> float:
     """Worst cost change over random perturbations of the optimal gains.
 
     Perturbs every stage/mode gain entry uniformly within ``scale`` and
@@ -345,7 +345,7 @@ def perturbation_optimality(model: MjlsModel, sol: FiniteHorizonSolution,
     nonnegative up to roundoff.  ``count=0`` returns +inf (vacuous pass).
     """
     _require_solution(sol, N)
-    ensemble = enumerate_paths(model, N, cap=cap)
+    ensemble = enumerate_paths(model, N)
     gains = np.concatenate([sol.policy().gains[None],
                             _perturbed_gains(sol, count, scale, seed)])
     cost, _ = _tally_batch(model, ensemble, gains,
@@ -353,16 +353,15 @@ def perturbation_optimality(model: MjlsModel, sol: FiniteHorizonSolution,
     return float(np.min(cost[1:] - cost[0], initial=math.inf))
 
 
-def verification_report(model: MjlsModel, N: int, terminal, *, seed=0,
-                        perturbations: int = 25,
-                        perturbation_scale: float = 1e-2,
-                        rel_tol: float = 1e-9, costate_tol: float = 1e-10,
-                        cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
+def verification_report(model: MjlsModel, N: int, terminal, *,
+                        seed=0) -> dict:
     """Run the full brute-force battery against the Riccati solver.
 
     Returns ``{"checks": [{name, residual, tolerance, passed}...],
     "passed": bool}``.  Residuals are normalized by (1 + |reference|) so the
-    stated tolerances survive large initial states.  The paths are
+    stated tolerances (``REL_TOL``, ``COSTATE_TOL``) survive large initial
+    states.  ``seed`` draws the arbitrary policy and the ``PERTURBATIONS``
+    gain perturbations of scale ``PERTURBATION_SCALE``.  The paths are
     enumerated once; one roll of the optimal policy serves its cost,
     costates, stationarity and decomposition, and one batched roll serves
     the arbitrary policy and every perturbation.
@@ -384,33 +383,32 @@ def verification_report(model: MjlsModel, N: int, terminal, *, seed=0,
 
     value = optimal_cost_finite(sol, model)
     terminal = sol.P[N + 1]
-    ensemble, levels, eta = _costate_pass(model, sol.policy(), N, terminal,
-                                          cap)
+    ensemble, levels, eta = _costate_pass(model, sol.policy(), N, terminal)
     cost, excess = _tally(ensemble, levels, sol)
     enumerated = float(cost[0])
     record("optimal cost equals enumerated cost",
-           abs(enumerated - value) / (1.0 + abs(value)), rel_tol)
+           abs(enumerated - value) / (1.0 + abs(value)), REL_TOL)
 
     record("costate matches transition-weighted cost-to-go",
-           _relation(model, sol, ensemble, levels, eta), costate_tol)
+           _relation(model, sol, ensemble, levels, eta), COSTATE_TOL)
 
     record("first-order stationarity at the optimum",
            _stationarity(model, ensemble, levels, eta) / (1.0 + abs(value)),
-           rel_tol)
+           REL_TOL)
 
     lhs, _, gap = _decomposition(model, sol, cost[0], excess[0])
     record("cost decomposition at the optimum",
-           gap / (1.0 + abs(lhs)), rel_tol)
+           gap / (1.0 + abs(lhs)), REL_TOL)
 
     shape = sol.policy().gains.shape
     random_gains = np.random.default_rng(seed).uniform(-1.0, 1.0, shape[1:])
     gains = np.concatenate([
         np.broadcast_to(random_gains, (1,) + shape),
-        _perturbed_gains(sol, perturbations, perturbation_scale, seed)])
+        _perturbed_gains(sol, PERTURBATIONS, PERTURBATION_SCALE, seed)])
     cost, excess = _tally_batch(model, ensemble, gains, terminal, sol)
     lhs, _, gap = _decomposition(model, sol, cost[0], excess[0])
     record("cost decomposition for an arbitrary policy",
-           gap / (1.0 + abs(lhs)), rel_tol)
+           gap / (1.0 + abs(lhs)), REL_TOL)
 
     decrease = float(np.min(cost[1:] - enumerated, initial=math.inf))
     shortfall = 0.0 if math.isinf(decrease) else max(0.0, -decrease)

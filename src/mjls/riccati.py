@@ -67,6 +67,10 @@ __all__ = [
     "write_riccati_csv",
 ]
 
+# solve_care's divergence bound on a trace and its fixed-point residual bound.
+DIVERGENCE_BOUND = 1e12
+RESIDUAL_TOL = 1e-8
+
 
 def _frozen(*arrays):
     for arr in arrays:
@@ -277,7 +281,6 @@ def _newton_step(model: MjlsModel, P, stepped, gain):
 
 
 def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,
-               divergence_bound: float = 1e12, residual_tol: float = 1e-8,
                initial=None) -> CareSolution:
     """Solve the coupled algebraic Riccati equation.
 
@@ -291,7 +294,7 @@ def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,
     once the relative per-mode increment is at most ``tol``.  Requires every
     R[i] positive definite.
 
-    A value iterate with trace above ``divergence_bound`` means no
+    A value iterate with trace above ``DIVERGENCE_BOUND`` means no
     mean-square stabilizing controller exists and raises
     :class:`NotStabilizable` with reason ``"diverged"``; an exhausted budget
     decides nothing and raises it with reason ``"budget"``.  A fixed point
@@ -319,10 +322,10 @@ def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,
         if newton_P is not None and newton:
             new_P = newton_P
             newton_steps += 1
-        elif np.trace(new_P, axis1=1, axis2=2).max() > divergence_bound:
+        elif np.trace(new_P, axis1=1, axis2=2).max() > DIVERGENCE_BOUND:
             raise NotStabilizable(
                 f"iterates diverged after {iteration} iterations "
-                f"(trace above {divergence_bound:.1e}); "
+                f"(trace above {DIVERGENCE_BOUND:.1e}); "
                 "no mean-square stabilizing controller exists",
                 reason="diverged", iterations=iteration)
         increment = _relative_change(new_P, P)
@@ -335,13 +338,13 @@ def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,
             f"(last increment {increment:.3e})",
             reason="budget", iterations=max_iter)
 
-    residual = care_residual(P, model)
-    if residual > residual_tol:
+    # One step at the fixed point: its residual and stationary coefficients.
+    stepped, Upsilon, M, K, _ = cdre_step(P, model)
+    residual = _relative_change(stepped, P)
+    if residual > RESIDUAL_TOL:
         raise NumericalFailure(
             f"converged iterates leave residual {residual:.3e} "
-            f"above {residual_tol:.1e}")
-    # Stationary coefficients evaluated at the fixed point.
-    _, Upsilon, M, K, _ = cdre_step(P, model)
+            f"above {RESIDUAL_TOL:.1e}")
     p_eigs, floor = pd_floor(P)
     if (p_eigs <= floor).any():
         i = int(np.argmax(p_eigs <= floor))

@@ -43,6 +43,12 @@ __all__ = [
     "write_moment_csv",
 ]
 
+# is_mss: stable means radius < 1 - MSS_MARGIN; above DENSE_LIMIT the radius
+# iteration settles to RADIUS_TOL within RADIUS_MAX_ITER steps per block.
+MSS_MARGIN = 1e-9
+RADIUS_TOL = 1e-12
+RADIUS_MAX_ITER = 10000
+
 
 def _with_gains(model: MjlsModel, gains) -> np.ndarray:
     """A + B F for an (..., L, m, n) gain stack."""
@@ -75,60 +81,31 @@ def closed_loop_operator(model: MjlsModel,
                          model.transition)
 
 
-def _radius(apply, size, fro, dense, tol, max_iter) -> float:
-    """Spectral radius of the operator T that ``apply`` maps (size, block)
-    arrays through; ``dense()`` builds T and is used up to DENSE_LIMIT.
-    Above it, orthogonal iteration from a seeded random start widens the
-    block (1, 2, 4, 8) while the dominant eigenvalues will not separate,
-    until ||T V - V H||_F with H = V' T V is within ``tol * (1 + fro)``
-    (``fro`` = ||T||_F) and the estimate has settled."""
-    if size <= DENSE_LIMIT:
-        return float(np.max(np.abs(np.linalg.eigvals(dense())), initial=0.0))
-    rng = np.random.default_rng(0x5eed)
-    for block in (1, 2, 4, 8):
-        V = np.linalg.qr(rng.standard_normal((size, block)))[0]
-        previous = np.inf
-        for _ in range(max_iter):
-            W = apply(V)
-            H = V.T @ W
-            radius = float(np.max(np.abs(np.linalg.eigvals(H))))
-            if (np.linalg.norm(W - V @ H) <= tol * (1.0 + fro)
-                    and abs(radius - previous) <= tol * (1.0 + radius)):
-                return radius
-            if not W.any():
-                return 0.0
-            previous = radius
-            V = np.linalg.qr(W)[0]
-    raise NumericalFailure(
-        f"spectral radius estimate did not settle within {max_iter} "
-        "iterations (block widths 1, 2, 4, 8)")
-
-
-def spectral_radius(T, tol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Largest eigenvalue magnitude of a square matrix.
-
-    Dense eigenvalues up to ``DENSE_LIMIT`` rows, block power iteration
-    above, accurate to ``tol * (1 + ||T||_F)``; raises
-    :class:`NumericalFailure` if no block width settles in ``max_iter``.
-    """
+def spectral_radius(T) -> float:
+    """Largest eigenvalue magnitude of a finite square matrix, from its
+    dense eigenvalues."""
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise InvalidInput("spectral radius needs a square matrix")
     if not np.all(np.isfinite(T)):
         raise InvalidInput("matrix entries must be finite")
-    return _radius(lambda V: T @ V, T.shape[0],
-                   float(np.linalg.norm(T, "fro")), lambda: T, tol, max_iter)
+    return float(np.max(np.abs(np.linalg.eigvals(T)), initial=0.0))
 
 
 @np.errstate(over="ignore")
-def is_mss(model: MjlsModel, policy: Policy | None = None,
-           mss_margin: float = 1e-9):
+def is_mss(model: MjlsModel, policy: Policy | None = None):
     """Decide mean-square stability of the (closed-loop) switched system.
 
     Returns ``(stable, radius)`` where ``stable`` requires the lifted
-    operator's spectral radius to sit strictly below ``1 - mss_margin``;
+    operator's spectral radius to sit strictly below ``1 - MSS_MARGIN``;
     a marginal radius of one is not mean-square stable since the second
     moment then fails to vanish.  An overflow raises NumericalFailure.
+
+    The radius is the dense one up to ``DENSE_LIMIT`` rows.  Above it,
+    orthogonal iteration from a seeded start widens its block (1, 2, 4, 8)
+    while the dominant eigenvalues will not separate, until ||T V - V H||_F
+    (H = V' T V) is within ``RADIUS_TOL * (1 + ||T||_F)`` and the estimate
+    has settled, or raises NumericalFailure after ``RADIUS_MAX_ITER`` steps.
     """
     model.ensure_valid()
     abar, lam = closed_loop_matrices(model, policy), model.transition
@@ -136,17 +113,33 @@ def is_mss(model: MjlsModel, policy: Policy | None = None,
     # Frobenius norms of the lifted operator's block rows.
     rows = np.sqrt((lam ** 2).sum(axis=1)) * np.sum(abar * abar, axis=(1, 2))
     require_finite(rows, "lifted second-moment operator")
-
-    def apply(V):
-        # Columns of V are row-major vectorized moment stacks X[i].
-        block = V.shape[1]
-        Y = abar @ V.T.reshape(block, L, n, n) @ abar.transpose(0, 2, 1)
-        Z = lam.T @ Y.transpose(1, 0, 2, 3).reshape(L, -1)
-        return Z.reshape(L, block, n * n).transpose(0, 2, 1).reshape(V.shape)
-
-    radius = _radius(apply, L * n * n, float(np.hypot.reduce(rows)),
-                     lambda: lifted_matrix(abar, lam), 1e-12, 10000)
-    return radius < 1.0 - mss_margin, radius
+    size = L * n * n
+    if size <= DENSE_LIMIT:
+        radius = float(np.max(np.abs(np.linalg.eigvals(
+            lifted_matrix(abar, lam))), initial=0.0))
+        return radius < 1.0 - MSS_MARGIN, radius
+    fro = float(np.hypot.reduce(rows))
+    rng = np.random.default_rng(0x5eed)
+    for block in (1, 2, 4, 8):
+        V = np.linalg.qr(rng.standard_normal((size, block)))[0]
+        previous = np.inf
+        for _ in range(RADIUS_MAX_ITER):
+            # Columns of V are row-major vectorized moment stacks X[i].
+            Y = abar @ V.T.reshape(block, L, n, n) @ abar.transpose(0, 2, 1)
+            Z = lam.T @ Y.transpose(1, 0, 2, 3).reshape(L, -1)
+            W = Z.reshape(L, block, n * n).transpose(0, 2, 1).reshape(V.shape)
+            H = V.T @ W
+            radius = float(np.max(np.abs(np.linalg.eigvals(H))))
+            # A map that sends V to zero has H = 0 and so radius 0.0.
+            if ((np.linalg.norm(W - V @ H) <= RADIUS_TOL * (1.0 + fro)
+                 and abs(radius - previous) <= RADIUS_TOL * (1.0 + radius))
+                    or not W.any()):
+                return radius < 1.0 - MSS_MARGIN, radius
+            previous = radius
+            V = np.linalg.qr(W)[0]
+    raise NumericalFailure(
+        f"spectral radius estimate did not settle within {RADIUS_MAX_ITER} "
+        "iterations (block widths 1, 2, 4, 8)")
 
 
 @dataclass(eq=False)
@@ -235,10 +228,11 @@ def observability_gramian(model: MjlsModel, horizon: int) -> np.ndarray:
 
 
 def is_exactly_observable(model: MjlsModel, horizon: int | None = None,
-                          strict: bool = False, pd_tol: float = 1e-10) -> bool:
+                          strict: bool = False) -> bool:
     """Whether an almost-surely zero output forces a zero initial state.
 
-    Checks positive definiteness of :func:`observability_gramian` after
+    Checks positive definiteness (above the ``PD_TOL`` floor of
+    :func:`mjls.model.pd_floor`) of :func:`observability_gramian` after
     ``horizon`` steps (defaults to n * L; Gramian kernels are non-increasing
     and stall within that many steps).  By default only modes with positive
     initial probability are checked; ``strict=True`` demands all of them.
@@ -248,8 +242,7 @@ def is_exactly_observable(model: MjlsModel, horizon: int | None = None,
     model.state_weight_factors()
     G = observability_gramian(model, model.state_dim * model.mode_count
                               if horizon is None else horizon)
-    low, floor = pd_floor(G if strict else G[model.initial_distribution > 0],
-                          pd_tol)
+    low, floor = pd_floor(G if strict else G[model.initial_distribution > 0])
     return bool(np.all(low > floor))
 
 

@@ -20,6 +20,9 @@ from mjls.cli import main
 from conftest import edge_model, scalar_model
 
 
+ALL_COMMANDS = ("solve-finite", "solve-care", "check", "simulate", "verify")
+
+
 def write_model(model, tmp_path, name="model.json"):
     path = tmp_path / name
     save_model(model, path)
@@ -239,15 +242,41 @@ class TestParserReuse:
 
     def test_argparse_error_then_valid_call(self, bench_file, tmp_path,
                                            capsys):
+        # Usage errors return 1 (exit 2 is a Riccati breakdown).
         for bad in (["simulate", "--no-such-flag"],
                     ["simulate", "--model", bench_file, "--horizon", "x"],
                     ["no-such-command"]):
-            with pytest.raises(SystemExit) as info:
-                self.run(*bad)
-            assert info.value.code == 2
+            assert self.run(*bad) == 1
+            assert capsys.readouterr().err.startswith("error: ")
         assert self.run("simulate", "--model", bench_file, "--horizon", 2,
                         "--out", tmp_path / "out") == 0
         assert "50 trials" in capsys.readouterr().out
+
+
+class TestFlagContract:
+    """Each subcommand takes only the flags its handler reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-care", "--horizon", "3"],
+        ["check", "--trials", "5"],
+        ["solve-finite", "--horizon", "3", "--seed", "1"],
+        ["verify", "--horizon", "3", "--trials", "5"],
+        ["simulate", "--horizon", "3", "--tol", "1e-9"],
+    ])
+    def test_unread_flag_is_a_usage_error(self, argv, bench_file, tmp_path,
+                                          capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--model", str(bench_file),
+                     "--out", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert "--model" in capsys.readouterr().out
 
 
 class TestVerify:
@@ -334,12 +363,11 @@ class TestEntryPoint:
         assert "open-loop radius" in result.stdout
 
 
-ALL_COMMANDS = ("solve-finite", "solve-care", "check", "simulate", "verify")
-
-
 def run_everywhere(path, tmp_path):
-    return {cmd: main([cmd, "--model", str(path), "--horizon", "3",
-                       "--out", str(tmp_path / cmd)])
+    """Exit code of every subcommand on ``path``, with ``--horizon 3`` where
+    the subcommand reads it."""
+    return {cmd: main([cmd, "--model", str(path), "--out", str(tmp_path / cmd),
+                       *(() if cmd == "solve-care" else ("--horizon", "3"))])
             for cmd in ALL_COMMANDS}
 
 
