@@ -114,12 +114,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_horizon(args) -> int:
-    if args.horizon is None:
+def _require_horizon(args, default=None) -> int:
+    horizon = default if args.horizon is None else args.horizon
+    if horizon is None:
         raise InvalidInput(f"--horizon is required for {args.command}")
-    if args.horizon < 0:
+    if horizon < 0:
         raise InvalidInput("--horizon must be nonnegative")
-    return args.horizon
+    return horizon
 
 
 def _terminal_matrices(spec: str, model: MjlsModel) -> list:
@@ -166,8 +167,8 @@ def cmd_solve_finite(args) -> int:
         "mode_count": model.mode_count,
         "state_dim": model.state_dim,
         "input_dim": model.input_dim,
-        "gains": [[g.tolist() for g in stage] for stage in sol.K],
-        "upsilon_min_eigenvalues": [e.tolist() for e in sol.upsilon_min_eig],
+        "gains": list(sol.K),
+        "upsilon_min_eigenvalues": list(sol.upsilon_min_eig),
     }, out / "gains.json")
     print(f"solvable over {N + 1} stages; optimal cost {cost!r}")
     return 0
@@ -190,8 +191,8 @@ def cmd_solve_care(args) -> int:
         "newton_steps": sol.newton_steps,
         "final_increment": sol.final_increment,
         "residual": sol.residual,
-        "P": [mat.tolist() for mat in sol.P],
-        "gains": [g.tolist() for g in sol.K],
+        "P": sol.P,
+        "gains": sol.K,
         "P_min_eigenvalues": sol.p_min_eig.tolist(),
         "closed_loop_spectral_radius": radius,
         "closed_loop_mean_square_stable": stable,
@@ -206,7 +207,7 @@ def cmd_solve_care(args) -> int:
 
 def cmd_check(args) -> int:
     model = _load_valid_model(args)
-    steps = args.horizon if args.horizon is not None else 50
+    steps = _require_horizon(args, default=50)
     out = _out_dir(args)
     open_stable, open_radius = is_mss(model)
     report = {

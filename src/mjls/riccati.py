@@ -45,6 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .artifacts import blocked_reprs
 from .errors import (
     InvalidInput,
     InvalidState,
@@ -404,14 +405,15 @@ def write_riccati_csv(sol: FiniteHorizonSolution, path):
     where no gain entry exists (terminal stage, or row/col outside the gain
     shape).  The file holds the bytes ``csv.writer`` writes for these rows:
     floats with ``repr``, empty fields, CRLF line ends.  Each distinct float
-    is formatted once: a stage whose P stack is bitwise symmetric formats
-    only its upper triangles.
+    is formatted once, through :func:`~mjls.artifacts.float_reprs` with a
+    block of stages per call: a stage whose P stack is bitwise symmetric
+    formats only its upper triangles.
     """
     n = sol.P[-1].shape[1]
     m = sol.K[0].shape[1] if sol.solvable else 0
     upper = np.triu_indices(n)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("k,mode,row,col,P,gain_row,gain_col,K\r\n")
+
+    def stages():
         for k, P_k in enumerate(sol.P):
             if P_k is None:
                 continue
@@ -419,9 +421,12 @@ def write_riccati_csv(sol: FiniteHorizonSolution, path):
             bits = P_k.view(np.uint64)
             mirror = np.array_equal(bits, bits.swapaxes(1, 2))
             fields = (P_k[:, upper[0], upper[1]] if mirror else P_k).ravel()
-            fields = fields.tolist()
             gains = m if k <= sol.horizon else 0
             if gains:
-                fields += np.ravel(sol.K[k]).tolist()
-            template = _stage_template(len(P_k), n, gains, mirror)
-            fh.write(template.format(k, *map(float.__repr__, fields)))
+                fields = np.concatenate([fields, np.ravel(sol.K[k])])
+            yield (k, _stage_template(len(P_k), n, gains, mirror)), fields
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("k,mode,row,col,P,gain_row,gain_col,K\r\n")
+        for (k, template), reprs in blocked_reprs(stages()):
+            fh.write(template.format(k, *reprs))

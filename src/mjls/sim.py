@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .artifacts import blocked_reprs
 from .errors import DivergedTrajectory, InvalidInput
 from .model import MjlsModel, Policy
 
@@ -322,8 +323,9 @@ def write_trajectory_csv(trajectories, path, model: MjlsModel):
     columns are empty and its ``stage_cost`` column holds the terminal
     penalty, so each trial's column sum reproduces the total cost.  The file
     holds the bytes ``csv.writer`` writes for these rows: floats with
-    ``repr``, CRLF line ends.  Each trial is formatted with one
-    ``str.format`` call and written on its own.
+    ``repr``, CRLF line ends.  Floats are formatted through
+    :func:`~mjls.artifacts.float_reprs`, a block of trials per call; each
+    trial is formatted with one ``str.format`` call and written on its own.
     """
     n, m = model.state_dim, model.input_dim
     header = (["trial", "k", "mode"]
@@ -332,10 +334,10 @@ def write_trajectory_csv(trajectories, path, model: MjlsModel):
               + ["stage_cost"])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for trial, traj in enumerate(trajectories):
-            floats = np.concatenate([
-                np.ravel(traj.states), np.ravel(traj.controls),
-                traj.stage_costs, [traj.terminal_cost]]).tolist()
+        floats = ((traj, np.concatenate([
+            np.ravel(traj.states), np.ravel(traj.controls),
+            traj.stage_costs, [traj.terminal_cost]]))
+            for traj in trajectories)
+        for trial, (traj, reprs) in enumerate(blocked_reprs(floats)):
             template = _trial_template(len(traj.modes) - 2, n, m)
-            fh.write(template.format(trial, *traj.modes.tolist(),
-                                     *map(float.__repr__, floats)))
+            fh.write(template.format(trial, *traj.modes.tolist(), *reprs))

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .artifacts import blocked_reprs
 from .errors import InvalidInput, NotStabilizable, NumericalFailure, \
     PreconditionFailed
 from .model import DENSE_LIMIT, MjlsModel, Policy, coupled_average, \
@@ -282,14 +283,13 @@ def write_moment_csv(chain: SecondMomentChain, path):
     Columns: ``k, mode, trace, total`` where ``total`` repeats
     E||x(k)||^2 = sum_i trace(X[k][i]) on each row of stage k.  The file
     holds the bytes ``csv.writer`` writes for these rows: floats with
-    ``repr``, CRLF line ends.
+    ``repr``, CRLF line ends.  Floats are formatted through
+    :func:`~mjls.artifacts.float_reprs`, a block of stages per call.
     """
     traces = chain.traces()
-    totals = traces.sum(axis=1)
+    table = np.column_stack([traces, traces.sum(axis=1)])
     template = _moment_template(traces.shape[1])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("k,mode,trace,total\r\n")
-        for k, (row, total) in enumerate(zip(traces.tolist(),
-                                             totals.tolist())):
-            fh.write(template.format(k, *map(float.__repr__, row),
-                                     float.__repr__(total)))
+        for k, reprs in blocked_reprs(enumerate(table)):
+            fh.write(template.format(k, *reprs))

@@ -3,11 +3,12 @@
 The reference routines here deliberately avoid the package's code paths:
 the single-mode Riccati recursion uses plain LU solves, the costate oracle
 multiplies out the state-transition products literally, the spectral
-radius oracle is a dense eigendecomposition, and the coupled Riccati step,
-observability Gramian, moment recursion and lifted operator are literal
-loops over modes (the package works on stacked arrays).  The path
-enumeration and the trajectory, Riccati and second-moment CSV writers are
-literal versions of the mode-first extension and of ``csv.writer`` rows.
+radius oracles are a dense eigendecomposition and, for scalar modes, closed
+forms, and the coupled Riccati step, observability Gramian, moment
+recursion and lifted operator are literal loops over modes (the package
+works on stacked arrays).  The path enumeration and the trajectory, Riccati
+and second-moment CSV writers are literal versions of the mode-first
+extension and of ``csv.writer`` rows.
 """
 
 import csv
@@ -71,6 +72,37 @@ def random_stationary_policy(rng, model, scale=1.0):
 def dense_radius(T) -> float:
     """Spectral radius by dense eigendecomposition (reference)."""
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(T, float)))))
+
+
+def closed_form_radii(rng, L):
+    """Models of L scalar modes with the spectral radius of their lifted
+    operator in closed form, as (model, radius) pairs.
+
+    For scalar modes the lifted operator is the L x L matrix
+    T[j, i] = p_ij a_i^2.  An i.i.d. chain (p_ij = pi_j) makes it
+    pi (a^2)', of rank one, with radius sum_i pi_i a_i^2.  A cyclic chain
+    (p_i,i+1 = 1) gives T^L = prod_i a_i^2 I, so all L eigenvalues have
+    the modulus prod_i |a_i|^(2/L).  With two modes, T is nonnegative and
+    its radius is the larger root of its characteristic polynomial.
+    """
+    a = rng.uniform(-1.5, 1.5, L)
+    square = a ** 2
+    pi = rng.dirichlet(np.ones(L))
+    cases = [(np.tile(pi, (L, 1)), float(pi @ square)),
+             (np.roll(np.eye(L), 1, axis=1),
+              float(np.exp(np.mean(np.log(square)))))]
+    if L == 2:
+        p, q = rng.uniform(0.0, 1.0, 2)
+        transition = np.array([[1.0 - p, p], [q, 1.0 - q]])
+        (t00, t01), (t10, t11) = (transition * square[:, None]).T
+        half = (t00 + t11) / 2.0
+        cases.append((transition, float(
+            half + np.sqrt(half ** 2 - (t00 * t11 - t01 * t10)))))
+    ones = np.ones((L, 1, 1))
+    return [(MjlsModel(A=a.reshape(L, 1, 1), B=ones, Q=ones, R=ones,
+                       transition=transition, initial_distribution=pi,
+                       x0=[1.0]), radius)
+            for transition, radius in cases]
 
 
 def classical_finite_riccati(A, B, Q, R, terminal, N):

@@ -1,5 +1,7 @@
 """The artifact writers write the bytes of the standard library's writers.
 
+``float_reprs`` is held against ``float.__repr__`` on generated arrays and
+on the decade bounds where orjson's spelling differs from ``repr``.
 ``write_json`` is held against a literal ``json.dump(indent=2,
 sort_keys=True)``, and the Riccati and second-moment CSV writers against
 the ``csv.writer`` loops in ``corpus.py``.  The memory guards check that
@@ -11,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mjls import (
     FiniteHorizonSolution,
@@ -22,7 +26,7 @@ from mjls import (
     write_moment_csv,
     write_riccati_csv,
 )
-from mjls.artifacts import write_json
+from mjls.artifacts import blocked_reprs, float_reprs, write_json
 
 from conftest import scalar_model, two_mode_benchmark
 from corpus import (
@@ -40,6 +44,67 @@ def literal_json(obj, path):
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+def float_arrays(max_dims=3):
+    """Float64 arrays of any shape up to ``max_dims`` axes, empty ones
+    included, with NaN, infinities, subnormals and -0.0 among the entries."""
+    return arrays(np.float64,
+                  array_shapes(min_dims=0, max_dims=max_dims, min_side=0,
+                               max_side=6),
+                  elements=st.floats(width=64))
+
+
+def reference_reprs(array):
+    return list(map(float.__repr__, np.ravel(array).tolist()))
+
+
+def neighbours(x, count=40):
+    """``count`` doubles on each side of ``x``, ``x`` itself, and their
+    negatives."""
+    up, down = [x], [x]
+    for _ in range(count):
+        up.append(np.nextafter(up[-1], np.inf))
+        down.append(np.nextafter(down[-1], 0.0))
+    values = np.array(up + down)
+    return np.concatenate([values, -values])
+
+
+# Where orjson and repr part ways: the decade bounds of its positional range
+# and of repr's, two-digit exponents, and the smallest subnormal.
+BOUNDARIES = np.concatenate(
+    [neighbours(x) for x in (1e-5, 1e-4, 1e16, 1e-9, 1e-10, 1e-6)]
+    + [np.array([5e-324, -5e-324, 1e-323, 2.2250738585072014e-308, 1e22,
+                 1.7976931308623157e308, 0.0, -0.0, NAN, INF, -INF])])
+
+
+class TestFloatReprs:
+    @settings(max_examples=300, deadline=None)
+    @given(float_arrays())
+    def test_matches_repr(self, array):
+        assert float_reprs(array) == reference_reprs(array)
+
+    def test_matches_repr_at_the_boundaries(self):
+        assert float_reprs(BOUNDARIES) == reference_reprs(BOUNDARIES)
+        for lo in range(0, BOUNDARIES.size, 37):
+            chunk = BOUNDARIES[lo:lo + 37]
+            assert float_reprs(chunk) == reference_reprs(chunk)
+
+    def test_reads_views_by_value(self):
+        stack = np.arange(24.0).reshape(2, 3, 4) * 1e-7
+        view = stack.swapaxes(1, 2)[:, ::2]
+        assert float_reprs(view) == reference_reprs(view)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(float_arrays(max_dims=2), max_size=8),
+           st.integers(1, 40))
+    def test_blocks_split_back_per_item(self, items, block):
+        blocks = list(blocked_reprs(enumerate(items), block))
+        assert [key for key, _ in blocks] == list(range(len(items)))
+        assert [reprs for _, reprs in blocks] == [
+            reference_reprs(item) for item in items]
+
+
 DOCUMENTS = [
     {"nan": NAN, "inf": INF, "-inf": -INF, "zero": -0.0, "tiny": 5e-324,
      "huge": 1e300},
@@ -65,6 +130,22 @@ class TestWriteJson:
         literal_json(doc, ref)
         assert ours.read_bytes() == ref.read_bytes()
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.dictionaries(st.text(max_size=3), float_arrays(), max_size=4),
+           st.lists(float_arrays(), max_size=4))
+    def test_float_arrays_write_their_lists(self, tmp_path_factory, arrays,
+                                            stack):
+        tmp_path = tmp_path_factory.getbasetemp()
+        doc = {"arrays": arrays, "stack": stack, "one": np.zeros((2, 1))}
+        plain = {"arrays": {key: value.tolist()
+                            for key, value in arrays.items()},
+                 "stack": [value.tolist() for value in stack],
+                 "one": [[0.0], [0.0]]}
+        ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+        write_json(doc, ours)
+        literal_json(plain, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
     def test_matches_json_dump_on_random_stacks(self, tmp_path):
         rng = np.random.default_rng(5)
         stacks = rng.standard_normal((3, 4, 2, 3)) * 10.0 ** rng.integers(
@@ -76,8 +157,9 @@ class TestWriteJson:
         literal_json(doc, ref)
         assert ours.read_bytes() == ref.read_bytes()
 
+    # Float64 arrays are written as their .tolist(); other dtypes are not.
     @pytest.mark.parametrize("doc", [{"a": np.int64(1)}, [object()],
-                                     np.zeros(2)])
+                                     np.zeros(2, dtype=np.int64)])
     def test_unserializable_raises_type_error(self, tmp_path, doc):
         with pytest.raises(TypeError):
             json.dumps(doc, indent=2, sort_keys=True)
@@ -206,6 +288,9 @@ class TestMemoryGuard:
                    0.1, 2.0, (self.N + 1, self.L)).tolist(),
                "horizon": self.N, "optimal_cost": 1.0}
         # A whole-document string would peak near 10 MB.
+        assert traced_peak(write_json, doc, tmp_path / "gains.json") < 1e6
+        # The command passes the per-stage arrays themselves.
+        doc["gains"] = list(K)
         assert traced_peak(write_json, doc, tmp_path / "gains.json") < 1e6
 
     def test_riccati_csv_streams(self, tmp_path):

@@ -178,6 +178,14 @@ class TestCheck:
         assert report["closed_loop"] is None
         assert report["note"].startswith("undetermined: no convergence")
 
+    def test_negative_horizon_rejected_before_any_work(self, bench_file,
+                                                        tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["check", "--model", str(bench_file), "--horizon", "-1",
+                     "--out", str(out)]) == 1
+        assert "--horizon" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unstabilizable_still_exits_zero(self, tmp_path):
         path = write_model(scalar_model(a=2.0, b=0.0), tmp_path)
         out = tmp_path / "out"

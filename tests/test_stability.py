@@ -21,7 +21,7 @@ from mjls.stability import observability_gramian
 from conftest import scalar_model, two_mode_benchmark
 from corpus import (
     classical_observability_rank,
-    dense_radius,
+    closed_form_radii,
     random_model,
 )
 
@@ -103,12 +103,13 @@ class TestSpectralRadius:
         rot = 0.9 * np.array([[0.0, -1.0], [1.0, 0.0]])
         assert spectral_radius(rot) == pytest.approx(0.9)
 
-    def test_matches_dense_eigensolver(self):
+    def test_matches_closed_forms_on_scalar_modes(self):
         rng = np.random.default_rng(31)
-        for _ in range(25):
-            T = rng.standard_normal((8, 8))
-            assert spectral_radius(T) == pytest.approx(
-                dense_radius(T), abs=1e-8)
+        for L in range(2, 9):
+            for model, radius in closed_form_radii(rng, L):
+                T = closed_loop_operator(model)
+                assert T.shape == (L, L)
+                assert spectral_radius(T) == pytest.approx(radius, rel=1e-10)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):

@@ -26,6 +26,7 @@ from mjls.stability import DENSE_LIMIT, closed_loop_matrices, \
     observability_gramian
 from corpus import (
     LiteralBreakdown,
+    closed_form_radii,
     dense_radius,
     literal_cdre_step,
     literal_gramian,
@@ -195,10 +196,10 @@ def test_matrix_free_radius_above_the_dense_limit():
 def test_spectral_radius_above_the_dense_limit():
     rng = np.random.default_rng(6)
     for size in (DENSE_LIMIT + 1, 60):
-        T = rng.uniform(-1.0, 1.0, (size, size))
-        T[0, 0] += 3.0  # a real dominant eigenvalue the iteration can find
-        assert spectral_radius(T) == pytest.approx(dense_radius(T),
-                                                   abs=1e-8)
+        for model, radius in closed_form_radii(rng, size):
+            T = closed_loop_operator(model)
+            assert T.shape == (size, size)
+            assert spectral_radius(T) == pytest.approx(radius, rel=1e-10)
 
 
 def test_periodic_rotation_model_radius():
