@@ -9,9 +9,12 @@ differently, which a mask on the values finds: exponents (``orjson``
 writes ``e16`` for ``e+16`` and ``e-7`` for ``e-07``) are respelled, and
 values in [1e-5, 1e-4), which ``orjson`` writes positionally (``0.00001``
 for ``1e-05``), and non-finite values, which it writes as ``null``, are
-formatted by ``repr``.  A call costs some microseconds whatever its size,
-so writers format several stages or trials per call through
-:func:`blocked_reprs`.
+formatted by ``repr``.  orjson does not document how it spells a float,
+so importing this module checks :func:`float_reprs` against ``repr`` on
+one value of every decade, the decade bounds and the non-finite values,
+and raises ImportError where an installed orjson spells them otherwise.
+A call costs some microseconds whatever its size, so writers format
+several stages or trials per call through :func:`blocked_reprs`.
 
 :func:`write_json` writes exactly the bytes of
 ``json.dump(obj, fh, indent=2, sort_keys=True)`` followed by a newline, but
@@ -66,15 +69,16 @@ def float_reprs(values) -> list:
     return reprs
 
 
-def blocked_reprs(items, block: int = BLOCK_FLOATS):
+def blocked_reprs(items):
     """For each ``(key, array)`` of ``items``, yield ``(key,
-    float_reprs(array))``, formatting about ``block`` floats per call."""
+    float_reprs(array))``, formatting about ``BLOCK_FLOATS`` floats per
+    call."""
     pending, size = [], 0
     for key, array in items:
         array = np.ravel(np.asarray(array, dtype=np.float64))
         pending.append((key, array))
         size += array.size
-        if size >= block:
+        if size >= BLOCK_FLOATS:
             yield from _split_reprs(pending)
             pending, size = [], 0
     yield from _split_reprs(pending)
@@ -88,6 +92,26 @@ def _split_reprs(pending):
     for key, array in pending:
         yield key, reprs[start:start + array.size]
         start += array.size
+
+
+def _check_orjson():
+    """Raise ImportError unless :func:`float_reprs` gives ``repr`` of one
+    value of every decade, of the decade bounds where it mends orjson's
+    spelling and of the non-finite values."""
+    decades = 10.0 ** np.arange(-323, 309)
+    bounds = np.array([1e-10, 1e-9, 1e-5, 1e-4, 1e15, 1e16])
+    probe = np.concatenate([decades, -4.25 * decades[:-1], bounds,
+                            np.nextafter(bounds, 0.0), [np.nan, -np.inf,
+                                                        -0.0]])
+    want = list(map(float.__repr__, probe.tolist()))
+    for got, text in zip(float_reprs(probe), want):
+        if got != text:
+            raise ImportError(
+                f"orjson {orjson.__version__} spells floats in a way "
+                f"float_reprs does not mend: {got!r} for {text!r}")
+
+
+_check_orjson()
 
 
 def _float(value: float) -> str:

@@ -26,6 +26,7 @@ from mjls import (
     write_moment_csv,
     write_riccati_csv,
 )
+from mjls import artifacts
 from mjls.artifacts import blocked_reprs, float_reprs, write_json
 
 from conftest import scalar_model, two_mode_benchmark
@@ -99,10 +100,22 @@ class TestFloatReprs:
     @given(st.lists(float_arrays(max_dims=2), max_size=8),
            st.integers(1, 40))
     def test_blocks_split_back_per_item(self, items, block):
-        blocks = list(blocked_reprs(enumerate(items), block))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(artifacts, "BLOCK_FLOATS", block)
+            blocks = list(blocked_reprs(enumerate(items)))
         assert [key for key, _ in blocks] == list(range(len(items)))
         assert [reprs for _, reprs in blocks] == [
             reference_reprs(item) for item in items]
+
+    def test_import_check_rejects_unmended_spellings(self, monkeypatch):
+        dumps = artifacts.orjson.dumps
+
+        def respelled(flat, option):
+            return dumps(flat, option=option).replace(b"1e16", b"1.0e16")
+
+        monkeypatch.setattr(artifacts.orjson, "dumps", respelled)
+        with pytest.raises(ImportError, match=r"'1\.0e\+16' for '1e\+16'"):
+            artifacts._check_orjson()
 
 
 DOCUMENTS = [
