@@ -66,6 +66,7 @@ from .stability import (
     is_stabilizable,
     propagate_second_moment,
     spectral_radius,
+    stabilizability,
     write_moment_csv,
 )
 

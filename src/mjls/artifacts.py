@@ -14,29 +14,40 @@ so importing this module checks :func:`float_reprs` against ``repr`` on
 one value of every decade, the decade bounds and the non-finite values,
 and raises ImportError where an installed orjson spells them otherwise.
 A call costs some microseconds whatever its size, so writers format
-several stages or trials per call through :func:`blocked_reprs`.
+about ``BLOCK_FLOATS`` floats per call, several stages or trials at once
+(:func:`blocked_reprs`).
+
+A :class:`Template` holds the literal text of a row layout as pieces
+around numbered fields; a writer caches one per layout and renders each
+stage or trial by splicing the value strings between the pieces in one
+``"".join``, the string ``str.format`` would build without parsing a
+format string on every call.
 
 :func:`write_json` writes exactly the bytes of
 ``json.dump(obj, fh, indent=2, sort_keys=True)`` followed by a newline, but
 joins each list of floats in one C-level call instead of going through the
 pure-Python encoder that ``json`` falls back to whenever ``indent`` is set.
 A float64 ``ndarray`` anywhere in ``obj`` is written as ``json.dump`` would
-write its ``.tolist()``, through :func:`float_reprs` and a ``str.format``
-template cached per (shape, indentation); arrays of other dtypes raise
-TypeError, as in ``json``.  It writes one container element at a time, so
-the document is never held whole in memory.
+write its ``.tolist()``, and so is a list of them; arrays of other dtypes
+raise TypeError, as in ``json``.  Their floats go a block of rows or of
+equal-shaped arrays at a time through :func:`float_reprs` and a template
+cached per (rows, shape, indentation).  It writes one container element or
+block at a time, so the document is never held whole in memory.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import orjson
 
-__all__ = ["blocked_reprs", "float_reprs", "write_json"]
+__all__ = ["Template", "blocked_reprs", "float_reprs", "write_json"]
 
 _INDENT = "  "
 # Floats formatted per float_reprs call by blocked_reprs.
@@ -114,6 +125,47 @@ def _check_orjson():
 _check_orjson()
 
 
+class Template:
+    """Literal text around fields, rendered by splicing values in.
+
+    ``items`` is the template in order: each ``str`` is literal text and
+    each ``int`` a field that :meth:`render` fills with ``values[int]``.
+    ``Template(["a", 1, "b", 0]).render(values)`` equals
+    ``"a{1}b{0}".format(*values)`` for a list of strings ``values``, but
+    joins the literal pieces and the gathered values in one ``"".join``
+    instead of parsing a format string on every call.  Equal pieces and
+    equal field numbers are kept once.
+    """
+
+    def __init__(self, items):
+        shared, parts, fields, pending = {}, [], [], []
+        for item in items:
+            if isinstance(item, str):
+                pending.append(item)
+                continue
+            text = "".join(pending)
+            parts += (shared.setdefault(text, text), None)
+            fields.append(shared.setdefault(item, item))
+            pending = []
+        text = "".join(pending)
+        parts.append(shared.setdefault(text, text))
+        self._parts = parts
+        if all(field == j for j, field in enumerate(fields)):
+            self._gather = None
+        elif len(fields) == 1:
+            self._gather = lambda values, field=fields[0]: (values[field],)
+        else:
+            self._gather = itemgetter(*fields)
+
+    def render(self, values) -> str:
+        """The template with its fields filled from the list ``values``
+        (exactly one value per field when the fields run 0, 1, 2, ...)."""
+        parts = self._parts.copy()
+        parts[1::2] = values if self._gather is None else \
+            self._gather(values)
+        return "".join(parts)
+
+
 def _float(value: float) -> str:
     """A float as ``json`` writes it: ``repr``, or NaN/Infinity/-Infinity."""
     text = float.__repr__(value)
@@ -130,22 +182,47 @@ def _is_float_array(value) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _array_template(shape: tuple, indent: str) -> str:
-    """``str.format`` template of ``json.dump`` of a float array's
-    ``.tolist()`` at the line ``indent``, one ``{}`` per entry."""
-    if not shape:
-        return "{}"
-    if not shape[0]:
-        return "[]"
-    inner = indent + _INDENT
-    item = _array_template(shape[1:], inner)
-    return "[" + inner + ("," + inner).join([item] * shape[0]) + indent + "]"
+def _rows_template(count: int, shape: tuple, indent: str,
+                   first: bool) -> Template:
+    """Template of ``count`` consecutive entries of a JSON list at the line
+    ``indent``, each the ``json.dump`` text of the ``.tolist()`` of a float
+    array of ``shape``: one field per float, in C order.  The first entry
+    follows ``"["`` when ``first`` is set and ``","`` otherwise, as every
+    later entry does."""
+    fields = iter(range(count * math.prod(shape)))
+
+    def rows(count, shape, indent, first):
+        inner = indent + _INDENT
+        for j in range(count):
+            yield ("[" if first and not j else ",") + inner
+            if not shape:
+                yield next(fields)
+            elif not shape[0]:
+                yield "[]"
+            else:
+                yield from rows(shape[0], shape[1:], inner, True)
+                yield inner + "]"
+
+    return Template(rows(count, shape, indent, first))
 
 
-def _array_text(shape: tuple, reprs: list, indent: str) -> str:
-    text = _array_template(shape, indent).format(*reprs)
-    # Templates hold no letters, so an "n" comes from a non-finite float.
-    return _non_finite(text) if "n" in text else text
+def _float_list(groups, indent: str):
+    """The encoding, in pieces, of a JSON list at the line ``indent`` whose
+    entries are float arrays.  ``groups`` holds ``(shape, arrays)`` pairs,
+    ``arrays`` being float arrays of ``shape`` in a list, or the rows of
+    one array.  A block of about ``BLOCK_FLOATS`` floats of one group goes
+    through one :func:`float_reprs` call and one template."""
+    first = True
+    for shape, arrays in groups:
+        step = max(1, BLOCK_FLOATS // max(1, math.prod(shape)))
+        for lo in range(0, len(arrays), step):
+            block = arrays[lo:lo + step]
+            text = _rows_template(len(block), shape, indent, first).render(
+                float_reprs(block))
+            # Templates hold no letters: an "n" comes from NaN or infinity.
+            yield _non_finite(text) if "n" in text else text
+            first = False
+    yield indent + "]"
 
 
 def _chunks(value, indent: str):
@@ -156,7 +233,12 @@ def _chunks(value, indent: str):
     elif isinstance(value, float):
         yield _float(value)
     elif _is_float_array(value):
-        yield _array_text(value.shape, float_reprs(value), indent)
+        if not value.ndim:
+            yield _float(float(value))
+        elif not len(value):
+            yield "[]"
+        else:
+            yield from _float_list([(value.shape[1:], value)], indent)
     elif isinstance(value, (list, tuple)):
         if not value:
             yield "[]"
@@ -164,10 +246,9 @@ def _chunks(value, indent: str):
         inner = indent + _INDENT
         sep = "["
         if all(map(_is_float_array, value)):
-            for shape, reprs in blocked_reprs((a.shape, a) for a in value):
-                yield sep + inner + _array_text(shape, reprs, inner)
-                sep = ","
-            yield indent + "]"
+            yield from _float_list(
+                ((shape, list(arrays))
+                 for shape, arrays in groupby(value, key=np.shape)), indent)
             return
         try:
             text = ("," + inner).join(map(float.__repr__, value))

@@ -13,7 +13,8 @@ Besides those two it takes only the flags it reads:
 Exit codes partition the outcomes:
 
     0  success
-    1  malformed input, or a usage error (unknown command or flag, bad value)
+    1  malformed input, a usage error (unknown command or flag, bad value),
+       or an output that cannot be written (the message names its path)
     2  Riccati breakdown (input-weight term not positive definite)
     3  solve-care found no stabilizing solution: the value iterates
        diverged (not mean-square stabilizable), or the step budget ran out
@@ -57,7 +58,7 @@ from .riccati import optimal_cost_finite, solve_care, solve_finite, \
     write_riccati_csv
 from .sim import cost_statistics, simulate_trials, write_trajectory_csv
 from .stability import is_exactly_observable, is_mss, \
-    propagate_second_moment, write_moment_csv
+    propagate_second_moment, stabilizability, write_moment_csv
 
 __all__ = ["main", "entry_point"]
 
@@ -221,28 +222,20 @@ def cmd_check(args) -> int:
     write_moment_csv(propagate_second_moment(model, None, steps),
                      out / "second_moments_open_loop.csv")
     try:
-        model.require_pd_input_weights()
-        if not report["exactly_observable"]:
-            raise PreconditionFailed(
-                "not exactly observable: the Riccati stabilizability "
-                "criterion does not apply")
-        sol = solve_care(model, tol=args.tol, max_iter=args.max_iter)
-    except NotStabilizable as exc:
-        if exc.reason == "budget":
-            report["note"] = f"undetermined: {exc}"
-        else:
-            report["stabilizable"] = False
-            report["note"] = str(exc)
+        verdict, note, sol = stabilizability(
+            model, report["exactly_observable"], tol=args.tol,
+            max_iter=args.max_iter)
     except (PreconditionFailed, ObservabilityViolation, NotPsd) as exc:
         report["note"] = str(exc)
     else:
-        report["stabilizable"] = True
-        closed_stable, closed_radius = is_mss(model, sol.policy())
-        report["closed_loop"] = {"mean_square_stable": closed_stable,
-                                 "spectral_radius": closed_radius}
-        write_moment_csv(
-            propagate_second_moment(model, sol.policy(), steps),
-            out / "second_moments_closed_loop.csv")
+        report["stabilizable"], report["note"] = verdict, note
+        if sol is not None:
+            closed_stable, closed_radius = is_mss(model, sol.policy())
+            report["closed_loop"] = {"mean_square_stable": closed_stable,
+                                     "spectral_radius": closed_radius}
+            write_moment_csv(
+                propagate_second_moment(model, sol.policy(), steps),
+                out / "second_moments_closed_loop.csv")
     write_json(report, out / "check.json")
     print(f"open-loop radius {open_radius!r}; "
           f"observable {report['exactly_observable']}; "
@@ -306,7 +299,13 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        try:
+            return _HANDLERS[args.command](args)
+        except OSError as exc:
+            # Reading the model or terminal file raises InvalidInput, so
+            # this failed on the output side.
+            raise InvalidInput(f"cannot write {exc.filename or args.out}: "
+                               f"{exc.strerror or exc}") from exc
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,11 +31,15 @@ coupled Lyapunov equation
 and converges quadratically from any stabilizing gain.
 
 One step handles all modes on the stacked (L, ., .) arrays of
-:mod:`mjls.model`: one product forms every W_i, batched ``matmul`` and
-``solve`` give Upsilon, M, P and the gains, and one batched ``eigvalsh``
-per Upsilon certifies definiteness.  The Lyapunov equation is one dense
-solve of size L n^2, after one dense ``eigvals`` of the same size certifies
-the gain.  Only numpy is needed.
+:mod:`mjls.model`: one product forms every W_i, and batched ``matmul`` and
+``solve`` give Upsilon, M, P and the gains.  Its checks are separate: one
+batched ``eigvalsh`` certifies that Upsilon is definite and ``isfinite``
+catches overflow.  :func:`cdre_step` checks each step; :func:`solve_finite`
+runs the unchecked step from stage N down to 0 and then checks all stages
+at once, raising the failure the stage-by-stage checks would have met
+first.  The Lyapunov equation is one dense solve of size L n^2, after one
+dense ``eigvals`` of the same size certifies the gain.  Only numpy is
+needed.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .artifacts import blocked_reprs
+from . import artifacts
+from .artifacts import Template, float_reprs
 from .errors import (
     InvalidInput,
     InvalidState,
@@ -98,6 +103,66 @@ def _relative_change(new, old) -> float:
                         / (1.0 + np.linalg.norm(old, axis=(1, 2)))))
 
 
+def _riccati_step(P_next, model: MjlsModel):
+    """The step formula of the module docstring on an (L, n, n) stack,
+    without checks: returns ``(P, Upsilon, M, K, solved)``.  A solve that
+    fails, as on a non-finite or singular Upsilon, gives NaN for K and P
+    and ``solved = False``; that stage then fails the checks of
+    :func:`_check_stages`.  Callers set the floating-point error state."""
+    A, B = model.A, model.B
+    W = coupled_average(P_next, model.transition)
+    WB = W @ B
+    ups = sym(B.transpose(0, 2, 1) @ WB + model.R)
+    mat = WB.transpose(0, 2, 1) @ A
+    try:
+        gain, solved = -np.linalg.solve(ups, mat), True
+    except np.linalg.LinAlgError:
+        gain, solved = np.full(mat.shape, np.nan), False
+    P = sym(A.transpose(0, 2, 1) @ W @ A + model.Q
+            + mat.transpose(0, 2, 1) @ gain)
+    return P, ups, mat, gain, solved
+
+
+def _check_stages(ups, P, stages):
+    """The (s, L) smallest eigenvalues of the Upsilon stack ``ups``
+    (s, L, m, m), after checking it and the cost-to-go stack ``P``
+    (s, L, n, n) of the stages labelled ``stages``.
+
+    Entry j holds stage ``stages[j]``, and the recursion reaches the entries
+    from last to first.  The first failure in that order is raised:
+    :class:`NumericalFailure` for an Upsilon that is not finite, then
+    :class:`RiccatiBreakdown` for one that is not positive definite, then
+    :class:`NumericalFailure` for a P that is not finite, each naming the
+    stage and the first such mode.  Entries below the first failure may
+    hold anything and raise nothing of their own.  Eigenvalues of a stage
+    whose Upsilon is not finite read NaN.
+    """
+    if np.isfinite(ups).all():
+        low, floor = pd_floor(ups)
+        if (low > floor).all() and np.isfinite(P).all():
+            return low
+    # Some stage fails: find the first in recursion order and raise.
+    finite = np.isfinite(ups).all(axis=(1, 2, 3))
+    low, floor = np.full((2,) + ups.shape[:2], np.nan)
+    low[finite], floor[finite] = pd_floor(ups[finite])
+    bad = ~finite | (low <= floor).any(axis=1) \
+        | ~np.isfinite(P).all(axis=(1, 2, 3))
+    j = len(bad) - 1 - int(np.argmax(bad[::-1]))
+    stage = stages[j]
+    where = "" if stage is None else f" at stage {stage}"
+    require_finite(ups[j], f"input-weight term{where}")
+    broken = low[j] <= floor[j]
+    if broken.any():
+        i = int(np.argmax(broken))
+        kind = "indefinite" if low[j, i] < -floor[j, i] else "singular"
+        raise RiccatiBreakdown(
+            f"input-weight term is {kind}{where} in mode {i}: "
+            f"min eigenvalue {low[j, i]:.3e}",
+            stage=stage, mode=i, eigenvalue=float(low[j, i]), kind=kind)
+    require_finite(P[j], f"cost-to-go{where}")
+    return low
+
+
 # Overflow is detected by the finiteness checks, which name stage and mode.
 @np.errstate(over="ignore", invalid="ignore")
 def cdre_step(P_next, model: MjlsModel, stage=None):
@@ -106,33 +171,16 @@ def cdre_step(P_next, model: MjlsModel, stage=None):
     ``P_next`` holds the cost-to-go matrices of the following stage, as an
     (L, n, n) array or a sequence; ``stage`` labels diagnostics.  Returns
     the stacks ``(P, Upsilon, M, K, upsilon_min_eig)``, with u = K[i] x the
-    feedback.  Raises :class:`RiccatiBreakdown` for the first mode whose
+    feedback.  Raises :class:`NumericalFailure` when Upsilon[i] is not
+    finite, then :class:`RiccatiBreakdown` for the first mode whose
     Upsilon[i] is not positive definite (smallest eigenvalue at or below
-    ``1e-10 * (1 + ||Upsilon[i]||)``) and :class:`NumericalFailure` when
-    Upsilon[i] or P[i] overflows.
+    ``1e-10 * (1 + ||Upsilon[i]||)``), then :class:`NumericalFailure` when
+    P[i] overflows.
     """
     P_next = _square_stack(P_next, model.mode_count, model.state_dim,
                            "cost-to-go")
-    where = "" if stage is None else f" at stage {stage}"
-    A, B = model.A, model.B
-    W = coupled_average(P_next, model.transition)
-    WB = W @ B
-    ups = sym(B.transpose(0, 2, 1) @ WB + model.R)
-    mat = WB.transpose(0, 2, 1) @ A
-    require_finite(ups, f"input-weight term{where}")
-    low, floor = pd_floor(ups)
-    broken = low <= floor
-    if broken.any():
-        i = int(np.argmax(broken))
-        kind = "indefinite" if low[i] < -floor[i] else "singular"
-        raise RiccatiBreakdown(
-            f"input-weight term is {kind}{where} in mode {i}: "
-            f"min eigenvalue {low[i]:.3e}",
-            stage=stage, mode=i, eigenvalue=float(low[i]), kind=kind)
-    gain = -np.linalg.solve(ups, mat)
-    P = sym(A.transpose(0, 2, 1) @ W @ A + model.Q
-            + mat.transpose(0, 2, 1) @ gain)
-    require_finite(P, f"cost-to-go{where}")
+    P, ups, mat, gain, _ = _riccati_step(P_next, model)
+    low = _check_stages(ups[None], P[None], (stage,))[0]
     return P, ups, mat, gain, low
 
 
@@ -168,8 +216,11 @@ def solve_finite(model: MjlsModel, terminal, N: int,
     """Run the coupled backward recursion from stage N down to stage 0.
 
     ``terminal`` is the list of per-mode symmetric PSD terminal weights
-    (stage N+1).  With ``raise_on_breakdown=False`` a breakdown is recorded
-    on the returned solution instead of raised.
+    (stage N+1).  The step runs without checks over the whole horizon, and
+    the stages are then checked at once: the first failure from stage N
+    down is raised as :func:`cdre_step` raises it.  With
+    ``raise_on_breakdown=False`` a breakdown is recorded on the returned
+    solution instead of raised, and the stages at and below it are None.
     """
     model.ensure_valid()
     if N < 0:
@@ -188,20 +239,37 @@ def solve_finite(model: MjlsModel, terminal, N: int,
         raise InvalidInput(f"terminal[{int(np.argmax(low < -floor))}] "
                            "must be positive semi-definite")
 
-    P, Upsilon, M, K, eigs = ([None] * (N + 1) for _ in range(5))
-    P.append(_frozen(term)[0])
+    L, n, m = model.mode_count, model.state_dim, model.input_dim
+    P = np.empty((N + 2, L, n, n))
+    ups = np.empty((N + 1, L, m, m))
+    M = np.empty((N + 1, L, m, n))
+    K = np.empty_like(M)
+    P[N + 1] = term
+    # One sweep without checks; the checks then run on whole stacks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N, -1, -1):
+            P[k], ups[k], M[k], K[k], solved = _riccati_step(P[k + 1], model)
+            if not solved:
+                # Stage k fails its checks, so no stage below is read.
+                P[:k] = ups[:k] = M[:k] = K[:k] = np.nan
+                break
+    top = 0
     breakdown = None
-    for k in range(N, -1, -1):
-        try:
-            P[k], Upsilon[k], M[k], K[k], eigs[k] = _frozen(*cdre_step(
-                P[k + 1], model, stage=k))
-        except RiccatiBreakdown as exc:
-            if raise_on_breakdown:
-                raise
-            breakdown = exc
-            break
+    try:
+        eigs = _check_stages(ups, P[:N + 1], range(N + 1))
+    except RiccatiBreakdown as exc:
+        if raise_on_breakdown:
+            raise
+        breakdown, top = exc, exc.stage + 1
+        eigs = np.full((N + 1, L), np.nan)
+        eigs[top:] = pd_floor(ups[top:])[0]
+    for stack in (P, ups, M, K, eigs):
+        stack.flags.writeable = False
+    below = [None] * top
     return FiniteHorizonSolution(
-        horizon=N, P=P, Upsilon=Upsilon, M=M, K=K, upsilon_min_eig=eigs,
+        horizon=N, P=below + list(P[top:]), Upsilon=below + list(ups[top:]),
+        M=below + list(M[top:]), K=below + list(K[top:]),
+        upsilon_min_eig=below + list(eigs[top:]),
         solvable=breakdown is None, breakdown=breakdown)
 
 
@@ -371,30 +439,38 @@ def care_residual(P, model: MjlsModel) -> float:
 
 
 @lru_cache(maxsize=16)
-def _stage_template(L: int, n: int, m: int, mirror: bool) -> str:
-    """``str.format`` template of one stage of ``riccati.csv``.
+def _stage_template(L: int, n: int, m: int, mirror: bool) -> Template:
+    """Template of one stage of ``riccati.csv``.
 
-    Field 0 is the stage; then come the P entries of each mode, only its
-    upper triangle (row-major) when ``mirror`` is set, and then the m x n
-    gain entries of each mode; ``m = 0`` writes no gain columns.
+    Fields 0..L-1 are the line prefixes ``"k,i,"`` of stage k, mode i;
+    then come the P entries of each mode, only its upper triangle
+    (row-major) when ``mirror`` is set, and then the m x n gain entries of
+    each mode; ``m = 0`` writes no gain columns.
     """
     size = n * (n + 1) // 2 if mirror else n * n
     upper = {rc: j for j, rc in enumerate(zip(*np.triu_indices(n)))}
-    gain = 1 + L * size
-    lines = []
-    for i in range(L):
-        for row in range(max(n, m)):
-            for col in range(n):
-                if row >= n:
-                    head = f"{{0}},{i},,{col},"
-                else:
-                    at = (upper[min(row, col), max(row, col)] if mirror
-                          else row * n + col)
-                    head = f"{{0}},{i},{row},{col},{{{1 + i * size + at}}}"
-                tail = (f",{row},{col},{{{gain + (i * m + row) * n + col}}}"
-                        if row < m else ",,,")
-                lines.append(head + tail + "\r\n")
-    return "".join(lines)
+    gain = L + L * size
+
+    def items():
+        for i in range(L):
+            for row in range(max(n, m)):
+                for col in range(n):
+                    yield i
+                    if row >= n:
+                        yield f",{col},"
+                    else:
+                        yield f"{row},{col},"
+                        yield L + i * size + (
+                            upper[min(row, col), max(row, col)] if mirror
+                            else row * n + col)
+                    if row < m:
+                        yield f",{row},{col},"
+                        yield gain + (i * m + row) * n + col
+                        yield "\r\n"
+                    else:
+                        yield ",,,\r\n"
+
+    return Template(items())
 
 
 def write_riccati_csv(sol: FiniteHorizonSolution, path):
@@ -404,29 +480,37 @@ def write_riccati_csv(sol: FiniteHorizonSolution, path):
     mode i contributes one line per matrix entry; the gain columns are empty
     where no gain entry exists (terminal stage, or row/col outside the gain
     shape).  The file holds the bytes ``csv.writer`` writes for these rows:
-    floats with ``repr``, empty fields, CRLF line ends.  Each distinct float
-    is formatted once, through :func:`~mjls.artifacts.float_reprs` with a
-    block of stages per call: a stage whose P stack is bitwise symmetric
-    formats only its upper triangles.
+    floats with ``repr``, empty fields, CRLF line ends.  Stages go in blocks
+    of about ``BLOCK_FLOATS`` floats, each formatted by one
+    :func:`~mjls.artifacts.float_reprs` call; a block whose P stacks are
+    all bitwise symmetric formats only their upper triangles.  Each stage
+    is spliced into its cached :class:`~mjls.artifacts.Template`.
     """
-    n = sol.P[-1].shape[1]
+    L, n = sol.P[-1].shape[:2]
     m = sol.K[0].shape[1] if sol.solvable else 0
     upper = np.triu_indices(n)
-
-    def stages():
-        for k, P_k in enumerate(sol.P):
-            if P_k is None:
-                continue
-            P_k = np.asarray(P_k, dtype=float)
-            bits = P_k.view(np.uint64)
-            mirror = np.array_equal(bits, bits.swapaxes(1, 2))
-            fields = (P_k[:, upper[0], upper[1]] if mirror else P_k).ravel()
-            gains = m if k <= sol.horizon else 0
-            if gains:
-                fields = np.concatenate([fields, np.ravel(sol.K[k])])
-            yield (k, _stage_template(len(P_k), n, gains, mirror)), fields
-
+    first = next(k for k, P_k in enumerate(sol.P) if P_k is not None)
+    step = max(1, artifacts.BLOCK_FLOATS // (L * (len(upper[0]) + m * n)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("k,mode,row,col,P,gain_row,gain_col,K\r\n")
-        for (k, template), reprs in blocked_reprs(stages()):
-            fh.write(template.format(k, *reprs))
+        for lo in range(first, len(sol.P), step):
+            P = np.asarray(sol.P[lo:lo + step], dtype=float)
+            bits = P.view(np.uint64)
+            mirror = np.array_equal(bits, bits.swapaxes(2, 3))
+            P = (P[:, :, upper[0], upper[1]] if mirror else P).reshape(
+                len(P), -1)
+            # Gains run to stage N; the terminal stage N + 1 has none.
+            K = np.asarray(sol.K[lo:lo + step], dtype=float).reshape(
+                -1, L * m * n) if m else np.empty((0, 0))
+            # A cold cache builds the templates before the block's strings.
+            with_gains = _stage_template(L, n, m, mirror)
+            last = _stage_template(L, n, 0, mirror) if len(K) < len(P) \
+                else None
+            reprs = float_reprs(np.concatenate([P.ravel(), K.ravel()]))
+            width, gains, start = P.shape[1], K.shape[1], P.size
+            for j in range(len(P)):
+                template = with_gains if j < len(K) else last
+                fh.write(template.render([
+                    *(f"{lo + j},{i}," for i in range(L)),
+                    *reprs[j * width:(j + 1) * width],
+                    *reprs[start + j * gains:start + (j + 1) * gains]]))

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .artifacts import blocked_reprs
+from .artifacts import Template, blocked_reprs
 from .errors import DivergedTrajectory, InvalidInput
 from .model import MjlsModel, Policy
 
@@ -296,8 +296,8 @@ def monte_carlo_cost(model: MjlsModel, policy: Policy | None, trials: int,
 
 
 @lru_cache(maxsize=16)
-def _trial_template(N: int, n: int, m: int) -> str:
-    """``str.format`` template of one trial's rows of ``trajectories.csv``.
+def _trial_template(N: int, n: int, m: int) -> Template:
+    """Template of one trial's rows of ``trajectories.csv``.
 
     Field 0 is the trial, fields 1..N+2 the modes; then come the (N+2) x n
     states, the (N+1) x m controls and the N+2 cost entries, the last of
@@ -306,13 +306,17 @@ def _trial_template(N: int, n: int, m: int) -> str:
     x0 = N + 3
     u0 = x0 + (N + 2) * n
     c0 = u0 + (N + 1) * m
-    lines = []
-    for k in range(N + 2):
-        xs = "".join(f",{{{x0 + k * n + d}}}" for d in range(n))
-        us = ("".join(f",{{{u0 + k * m + d}}}" for d in range(m))
-              if k <= N else "," * m)
-        lines.append(f"{{0}},{k},{{{1 + k}}}{xs}{us},{{{c0 + k}}}\r\n")
-    return "".join(lines)
+
+    def items():
+        for k in range(N + 2):
+            yield from (0, f",{k},", 1 + k)
+            for d in range(n):
+                yield from (",", x0 + k * n + d)
+            for d in range(m):
+                yield from ((",", u0 + k * m + d) if k <= N else (",",))
+            yield from (",", c0 + k, "\r\n")
+
+    return Template(items())
 
 
 def write_trajectory_csv(trajectories, path, model: MjlsModel):
@@ -325,7 +329,8 @@ def write_trajectory_csv(trajectories, path, model: MjlsModel):
     holds the bytes ``csv.writer`` writes for these rows: floats with
     ``repr``, CRLF line ends.  Floats are formatted through
     :func:`~mjls.artifacts.float_reprs`, a block of trials per call; each
-    trial is formatted with one ``str.format`` call and written on its own.
+    trial is spliced into a cached :class:`~mjls.artifacts.Template` and
+    written on its own.
     """
     n, m = model.state_dim, model.input_dim
     header = (["trial", "k", "mode"]
@@ -340,4 +345,5 @@ def write_trajectory_csv(trajectories, path, model: MjlsModel):
             for traj in trajectories)
         for trial, (traj, reprs) in enumerate(blocked_reprs(floats)):
             template = _trial_template(len(traj.modes) - 2, n, m)
-            fh.write(template.format(trial, *traj.modes.tolist(), *reprs))
+            fh.write(template.render(
+                [str(trial), *map(str, traj.modes.tolist()), *reprs]))

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .artifacts import blocked_reprs
+from .artifacts import Template, blocked_reprs
 from .errors import InvalidInput, NotStabilizable, NumericalFailure, \
     PreconditionFailed
 from .model import DENSE_LIMIT, MjlsModel, Policy, coupled_average, \
@@ -41,6 +41,7 @@ __all__ = [
     "propagate_second_moment",
     "is_exactly_observable",
     "is_stabilizable",
+    "stabilizability",
     "write_moment_csv",
 ]
 
@@ -247,34 +248,49 @@ def is_exactly_observable(model: MjlsModel, horizon: int | None = None,
     return bool(np.all(low > floor))
 
 
-def is_stabilizable(model: MjlsModel, **care_options) -> bool | None:
-    """Whether some mode-indexed feedback makes the loop mean-square stable.
+def stabilizability(model: MjlsModel, observable: bool | None = None,
+                    **care_options):
+    """The Riccati stabilizability verdict, its note and the CARE solution.
 
-    Equivalent to the coupled algebraic Riccati equation admitting a positive
-    definite solution; that equivalence needs positive definite input weights
-    and exact observability, so both are checked first and their failure
-    raises :class:`PreconditionFailed`.  Returns False when the value
-    iterates diverge and None (undetermined) when :func:`solve_care` runs
-    out of its budget before converging.
+    Some mode-indexed feedback makes the loop mean-square stable exactly
+    when the coupled algebraic Riccati equation has a positive definite
+    solution.  That equivalence needs positive definite input weights and
+    exact observability, so both are checked first and their failure
+    raises :class:`PreconditionFailed`; ``observable`` is the verdict of
+    :func:`is_exactly_observable` when the caller already has it.  Returns
+    ``(True, "", solution)`` when :func:`solve_care` converges,
+    ``(False, reason, None)`` when the value iterates diverge, and
+    ``(None, "undetermined: " + reason, None)`` when the step budget runs
+    out before convergence; other errors of :func:`solve_care` propagate.
     """
     model.ensure_valid()
     model.require_pd_input_weights()
-    if not is_exactly_observable(model):
+    if not (is_exactly_observable(model) if observable is None
+            else observable):
         raise PreconditionFailed(
-            "the state weights are not exactly observable; the Riccati "
-            "criterion for stabilizability does not apply")
+            "not exactly observable: the Riccati stabilizability "
+            "criterion does not apply")
     try:
-        solve_care(model, **care_options)
+        solution = solve_care(model, **care_options)
     except NotStabilizable as exc:
-        return None if exc.reason == "budget" else False
-    return True
+        if exc.reason == "budget":
+            return None, f"undetermined: {exc}", None
+        return False, str(exc), None
+    return True, "", solution
+
+
+def is_stabilizable(model: MjlsModel, **care_options) -> bool | None:
+    """Whether some mode-indexed feedback makes the loop mean-square stable:
+    the verdict of :func:`stabilizability`, None when undetermined."""
+    return stabilizability(model, **care_options)[0]
 
 
 @lru_cache(maxsize=8)
-def _moment_template(L: int) -> str:
-    """``str.format`` template of one stage of the moment CSV: field 0 is
-    the stage, fields 1..L the traces and field L + 1 their total."""
-    return "".join(f"{{0}},{i},{{{i + 1}}},{{{L + 1}}}\r\n" for i in range(L))
+def _moment_template(L: int) -> Template:
+    """Template of one stage of the moment CSV: field 0 is the stage,
+    fields 1..L the traces and field L + 1 their total."""
+    return Template(item for i in range(L)
+                    for item in (0, f",{i},", i + 1, ",", L + 1, "\r\n"))
 
 
 def write_moment_csv(chain: SecondMomentChain, path):
@@ -284,7 +300,8 @@ def write_moment_csv(chain: SecondMomentChain, path):
     E||x(k)||^2 = sum_i trace(X[k][i]) on each row of stage k.  The file
     holds the bytes ``csv.writer`` writes for these rows: floats with
     ``repr``, CRLF line ends.  Floats are formatted through
-    :func:`~mjls.artifacts.float_reprs`, a block of stages per call.
+    :func:`~mjls.artifacts.float_reprs`, a block of stages per call, and
+    each stage is spliced into a cached :class:`~mjls.artifacts.Template`.
     """
     traces = chain.traces()
     table = np.column_stack([traces, traces.sum(axis=1)])
@@ -292,4 +309,4 @@ def write_moment_csv(chain: SecondMomentChain, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("k,mode,trace,total\r\n")
         for k, reprs in blocked_reprs(enumerate(table)):
-            fh.write(template.format(k, *reprs))
+            fh.write(template.render([str(k), *reprs]))

@@ -437,3 +437,57 @@ def literal_moment_csv(chain, path):
             total = repr(float(traces[k].sum()))
             for i in range(traces.shape[1]):
                 writer.writerow([k, i, repr(float(traces[k, i])), total])
+
+
+# The ``str.format`` templates the writers once filled, as references for
+# the spliced templates that replaced them.
+
+
+def format_stage_template(L, n, m, mirror):
+    """One stage of ``riccati.csv``: field 0 the stage, then the P entries
+    of each mode (upper triangle, row-major, when ``mirror``), then the
+    m x n gain entries of each mode."""
+    size = n * (n + 1) // 2 if mirror else n * n
+    upper = {rc: j for j, rc in enumerate(zip(*np.triu_indices(n)))}
+    gain = 1 + L * size
+    lines = []
+    for i in range(L):
+        for row in range(max(n, m)):
+            for col in range(n):
+                if row >= n:
+                    head = f"{{0}},{i},,{col},"
+                else:
+                    at = (upper[min(row, col), max(row, col)] if mirror
+                          else row * n + col)
+                    head = f"{{0}},{i},{row},{col},{{{1 + i * size + at}}}"
+                tail = (f",{row},{col},{{{gain + (i * m + row) * n + col}}}"
+                        if row < m else ",,,")
+                lines.append(head + tail + "\r\n")
+    return "".join(lines)
+
+
+def format_trial_template(N, n, m):
+    """One trial of ``trajectories.csv``: field 0 the trial, fields 1..N+2
+    the modes, then the states, the controls and the costs."""
+    x0 = N + 3
+    u0 = x0 + (N + 2) * n
+    c0 = u0 + (N + 1) * m
+    lines = []
+    for k in range(N + 2):
+        xs = "".join(f",{{{x0 + k * n + d}}}" for d in range(n))
+        us = ("".join(f",{{{u0 + k * m + d}}}" for d in range(m))
+              if k <= N else "," * m)
+        lines.append(f"{{0}},{k},{{{1 + k}}}{xs}{us},{{{c0 + k}}}\r\n")
+    return "".join(lines)
+
+
+def format_array_template(shape, indent):
+    """``json.dump`` of a float array's ``.tolist()`` at the line
+    ``indent``, one auto-numbered ``{}`` per entry."""
+    if not shape:
+        return "{}"
+    if not shape[0]:
+        return "[]"
+    inner = indent + "  "
+    item = format_array_template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + indent + "]"

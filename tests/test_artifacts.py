@@ -9,6 +9,7 @@ the writers stream: neither holds a whole (50, 10), N = 40 document.
 """
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -27,10 +28,15 @@ from mjls import (
     write_riccati_csv,
 )
 from mjls import artifacts
-from mjls.artifacts import blocked_reprs, float_reprs, write_json
+from mjls.artifacts import Template, blocked_reprs, float_reprs, write_json
+from mjls.riccati import _stage_template
+from mjls.sim import _trial_template
 
 from conftest import scalar_model, two_mode_benchmark
 from corpus import (
+    format_array_template,
+    format_stage_template,
+    format_trial_template,
     literal_moment_csv,
     literal_riccati_csv,
     random_stationary_policy,
@@ -118,6 +124,90 @@ class TestFloatReprs:
             artifacts._check_orjson()
 
 
+def format_text(items):
+    """The ``str.format`` template of a :class:`Template`'s items."""
+    return "".join(
+        item.replace("{", "{{").replace("}", "}}") if isinstance(item, str)
+        else f"{{{item}}}" for item in items)
+
+
+def some_reprs(count, draw):
+    """``count`` float reprs, NaN and infinities among them."""
+    return float_reprs(np.array(draw(st.lists(
+        st.floats(width=64), min_size=count, max_size=count))))
+
+
+class TestTemplate:
+    """A template spliced from its pieces gives the string ``str.format``
+    gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_str_format(self, data):
+        items = data.draw(st.lists(
+            st.one_of(st.text(max_size=4), st.integers(0, 7)), max_size=20))
+        count = 1 + max((item for item in items if isinstance(item, int)),
+                        default=-1)
+        values = data.draw(st.lists(st.text(max_size=3), min_size=count,
+                                    max_size=count))
+        assert Template(items).render(values) == \
+            format_text(items).format(*values)
+
+    def test_fields_in_order_take_the_values_themselves(self):
+        assert Template(["[", 0, ",", 1, "]"]).render(["a", "b"]) == "[a,b]"
+        assert Template([0]).render(["x"]) == "x"
+        assert Template(["only text"]).render([]) == "only text"
+        assert Template([]).render([]) == ""
+        with pytest.raises(ValueError):
+            Template(["[", 0, ",", 1, "]"]).render(["a"])
+
+    def test_repeated_pieces_are_stored_once(self):
+        template = _stage_template(4, 3, 2, True)
+        pieces = template._parts[0::2]
+        assert len({id(piece) for piece in pieces}) == len(set(pieces))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 5),
+           st.booleans(), st.integers(0, 10 ** 6), st.data())
+    def test_stage_template_matches_its_format_string(self, L, n, m, mirror,
+                                                      k, data):
+        size = n * (n + 1) // 2 if mirror else n * n
+        reprs = some_reprs(L * (size + m * n), data.draw)
+        prefixes = [f"{k},{i}," for i in range(L)]
+        assert _stage_template(L, n, m, mirror).render(
+            prefixes + reprs) == format_stage_template(
+                L, n, m, mirror).format(k, *reprs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 6), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 10 ** 6), st.data())
+    def test_trial_template_matches_its_format_string(self, N, n, m, trial,
+                                                      data):
+        modes = data.draw(st.lists(st.integers(0, 60), min_size=N + 2,
+                                   max_size=N + 2))
+        reprs = some_reprs((N + 2) * (n + 1) + (N + 1) * m, data.draw)
+        assert _trial_template(N, n, m).render(
+            [str(trial), *map(str, modes), *reprs]) == \
+            format_trial_template(N, n, m).format(trial, *modes, *reprs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=5),
+           st.sampled_from(["\n", "\n  ", "\n      "]), st.data())
+    def test_array_rows_match_the_auto_numbered_format_string(
+            self, shape, indent, data):
+        # The rows of an array, cut anywhere into two blocks, spliced and
+        # closed, give the whole array's template filled by str.format.
+        reprs = some_reprs(math.prod(shape), data.draw)
+        cut = data.draw(st.integers(0, shape[0]))
+        width = math.prod(shape[1:])
+        text = "".join(
+            artifacts._rows_template(rows, shape[1:], indent, not lo).render(
+                reprs[lo * width:(lo + rows) * width])
+            for lo, rows in ((0, cut), (cut, shape[0] - cut)) if rows)
+        want = format_array_template(shape, indent).format(*reprs)
+        assert (text + indent + "]" if shape[0] else "[]") == want
+
+
 DOCUMENTS = [
     {"nan": NAN, "inf": INF, "-inf": -INF, "zero": -0.0, "tiny": 5e-324,
      "huge": 1e300},
@@ -157,6 +247,22 @@ class TestWriteJson:
         ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
         write_json(doc, ours)
         literal_json(plain, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(float_arrays(max_dims=2), st.integers(1, 4)),
+                    max_size=5), float_arrays(), st.integers(1, 40))
+    def test_any_block_size_writes_the_lists(self, tmp_path_factory, runs,
+                                            array, block):
+        # Runs of equal shapes share blocks; an array is cut between rows.
+        tmp_path = tmp_path_factory.getbasetemp()
+        stack = [item for item, count in runs for _ in range(count)]
+        ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(artifacts, "BLOCK_FLOATS", block)
+            write_json({"stack": stack, "array": array}, ours)
+        literal_json({"stack": [item.tolist() for item in stack],
+                      "array": array.tolist()}, ref)
         assert ours.read_bytes() == ref.read_bytes()
 
     def test_matches_json_dump_on_random_stacks(self, tmp_path):
@@ -251,6 +357,28 @@ class TestRiccatiCsv:
         P = rng.standard_normal((3, 3, 3)).swapaxes(1, 2)
         K = rng.standard_normal((3, 3, 1)).swapaxes(1, 2)
         assert_riccati_bytes(tmp_path, hand_built_solution(P, K))
+
+
+    @pytest.mark.parametrize("block", [1, 50, 100])
+    def test_any_block_size_writes_the_same_bytes(self, tmp_path, block):
+        # A stage holds 24 floats, so blocks hold 1, 2 or 4 stages: some
+        # mix bitwise symmetric and asymmetric stages, some hold the
+        # terminal stage.  A solution that broke down starts late.
+        rng = np.random.default_rng(29)
+        G = rng.standard_normal((5, 2, 3, 3))
+        P = [G[k] + G[k].swapaxes(1, 2) if k % 3 else G[k]
+             for k in range(5)]
+        K = list(rng.standard_normal((4, 2, 2, 3)))
+        mixed = FiniteHorizonSolution(
+            horizon=3, P=P, Upsilon=[None] * 4, M=[None] * 4, K=K,
+            upsilon_min_eig=[None] * 4, solvable=True)
+        broken = solve_finite(scalar_model(a=1.0, b=1.0, q=0.0, r=0.0),
+                              [np.eye(1)], 6, raise_on_breakdown=False)
+        assert broken.P[0] is None and broken.P[6] is not None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(artifacts, "BLOCK_FLOATS", block)
+            assert_riccati_bytes(tmp_path, mixed)
+            assert_riccati_bytes(tmp_path, broken)
 
 
 class TestMomentCsv:

@@ -341,6 +341,31 @@ class TestInputHandling:
         assert code == 1
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written exits 1 with its path named."""
+
+    def test_out_is_an_existing_file(self, bench_file, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        result = subprocess.run(
+            [sys.executable, "-m", "mjls", "check", "--model",
+             str(bench_file), "--out", str(out)],
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr == f"error: cannot write {out}: File exists\n"
+
+    def test_artifact_path_is_a_directory(self, bench_file, tmp_path,
+                                          capsys):
+        out = tmp_path / "out"
+        (out / "riccati.csv").mkdir(parents=True)
+        assert main(["solve-finite", "--model", str(bench_file),
+                     "--horizon", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / 'riccati.csv'}: " \
+            "Is a directory\n"
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_artifacts_byte_identical_across_runs(self, bench_file, tmp_path):
         outs = [tmp_path / "a", tmp_path / "b"]

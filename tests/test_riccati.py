@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mjls.riccati
 from mjls import (
@@ -11,6 +12,7 @@ from mjls import (
     MjlsError,
     MjlsModel,
     NotStabilizable,
+    NumericalFailure,
     ObservabilityViolation,
     PreconditionFailed,
     RiccatiBreakdown,
@@ -203,6 +205,134 @@ class TestSolveFinite:
                 defect = sol.Upsilon[k][i] @ sol.K[k][i] + sol.M[k][i]
                 scale = 1.0 + np.linalg.norm(sol.M[k][i])
                 assert np.linalg.norm(defect) <= 1e-11 * scale
+
+
+def stepwise_finite(model, terminal, N):
+    """Stages k = N..0 of the backward recursion, one :func:`cdre_step`
+    per stage: ``{k: (P, Upsilon, M, K, upsilon_min_eig)}`` up to the first
+    failure, and that failure (or None)."""
+    stages, P = {}, np.asarray(terminal, dtype=float)
+    for k in range(N, -1, -1):
+        try:
+            stages[k] = cdre_step(P, model, stage=k)
+        except MjlsError as exc:
+            return stages, exc
+        P = stages[k][0]
+    return stages, None
+
+
+def failure_fields(exc):
+    return (type(exc), str(exc), exc.args) + tuple(
+        getattr(exc, name, None) for name in
+        ("stage", "mode", "eigenvalue", "kind"))
+
+
+def assert_stages_match(sol, stages, N):
+    """Every stage of ``sol`` holds the bits of the stepwise recursion, and
+    stages it did not reach are None."""
+    fields = (sol.P, sol.Upsilon, sol.M, sol.K, sol.upsilon_min_eig)
+    for k in range(N + 1):
+        for got, want in zip(fields, stages.get(k, [None] * 5)):
+            if want is None:
+                assert got[k] is None, k
+            else:
+                assert got[k].tobytes() == want.tobytes(), k
+
+
+def chained_scalar_modes(a0, b1, A1=0.7, q1=1.0, r1=0.0):
+    """Mode 0 is uncontrolled (b = 0) with dynamics a0 and feeds mode 1
+    (both rows of the chain jump to mode 0), so Upsilon[1](k) = b1^2
+    P[0](k+1) + r1 follows the growth or decay of mode 0 down the
+    horizon."""
+    return MjlsModel(A=[[[a0]], [[A1]]], B=[[[0.0]], [[b1]]],
+                     Q=[[[1.0 if a0 > 1.0 else 0.0]], [[q1]]],
+                     R=[[[1.0]], [[r1]]], transition=[[1.0, 0.0], [1.0, 0.0]],
+                     initial_distribution=[0.5, 0.5], x0=[1.0])
+
+
+class TestBatchedStageChecks:
+    """solve_finite checks all stages after one sweep; it must raise and
+    record what a check after every step raised."""
+
+    N = 30
+
+    def test_mid_horizon_breakdown(self):
+        # Upsilon[1](k) = 0.25^(N - k) reaches the definiteness floor at
+        # stage N - 17 = 13; the entries at and below it stay None.
+        model = chained_scalar_modes(0.5, 1.0)
+        term = [np.eye(1)] * 2
+        stages, want = stepwise_finite(model, term, self.N)
+        assert isinstance(want, RiccatiBreakdown)
+        assert (want.stage, want.mode, want.kind) == (13, 1, "singular")
+        with pytest.raises(RiccatiBreakdown) as info:
+            solve_finite(model, term, self.N)
+        assert failure_fields(info.value) == failure_fields(want)
+        sol = solve_finite(model, term, self.N, raise_on_breakdown=False)
+        assert not sol.solvable
+        assert failure_fields(sol.breakdown) == failure_fields(want)
+        assert_stages_match(sol, stages, self.N)
+        assert sol.P[14] is not None and sol.P[13] is None
+        assert sol.P[self.N + 1].tobytes() == np.stack(term).tobytes()
+
+    @pytest.mark.parametrize("a0, b1, what, stage", [
+        (10.0, 1e150, "input-weight term at stage 26", 1),
+        (1e20, 1.0, "cost-to-go at stage 23", 0),
+    ], ids=["upsilon", "cost-to-go"])
+    def test_overflow_names_the_same_stage_and_mode(self, a0, b1, what,
+                                                    stage):
+        # Mode 0 grows by a0^2 per stage: with b1 = 1e150 Upsilon[1]
+        # overflows first, with a0 = 1e20 P[0] does.
+        model = chained_scalar_modes(a0, b1, r1=1.0)
+        term = [np.eye(1)] * 2
+        _, want = stepwise_finite(model, term, self.N)
+        assert str(want) == f"{what} is not finite in mode {stage}"
+        for raise_on_breakdown in (True, False):
+            with pytest.raises(NumericalFailure) as info:
+                solve_finite(model, term, self.N, raise_on_breakdown)
+            assert failure_fields(info.value) == failure_fields(want)
+
+    def test_failed_solve_ends_the_sweep(self, monkeypatch):
+        # Upsilon is exactly 0 at stage N - 1, so its solve fails there and
+        # the 10^4 stages below it are never stepped.
+        steps = []
+        step = mjls.riccati._riccati_step
+        monkeypatch.setattr(mjls.riccati, "_riccati_step",
+                            lambda *args: steps.append(1) or step(*args))
+        model = scalar_model(a=1.0, b=1.0, q=0.0, r=0.0)
+        sol = solve_finite(model, [np.eye(1)], 10 ** 4,
+                           raise_on_breakdown=False)
+        assert sol.breakdown.stage == 10 ** 4 - 1 and len(steps) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(0, 12),
+           terminal=st.sampled_from(["zero", "identity"]),
+           r_scale=st.sampled_from([1.0, 0.0]),
+           a_scale=st.sampled_from([1.0, 1e40]),
+           b_scale=st.sampled_from([1.0, 1e160]))
+    def test_every_stage_matches_stepwise_recursion(self, seed, N, terminal,
+                                                    r_scale, a_scale,
+                                                    b_scale):
+        rng = np.random.default_rng(seed)
+        base = random_model(rng, n_max=3, m_max=3, L_max=4)
+        # R = 0 lets Upsilon break down; a huge A lets P overflow, a huge
+        # B Upsilon.
+        model = MjlsModel(A=a_scale * base.A, B=b_scale * base.B, Q=base.Q,
+                          R=r_scale * base.R, transition=base.transition,
+                          initial_distribution=base.initial_distribution,
+                          x0=base.x0)
+        n, L = model.state_dim, model.mode_count
+        term = [np.zeros((n, n)) if terminal == "zero" else np.eye(n)] * L
+        stages, want = stepwise_finite(model, term, N)
+        if isinstance(want, NumericalFailure):
+            with pytest.raises(NumericalFailure) as info:
+                solve_finite(model, term, N, raise_on_breakdown=False)
+            assert failure_fields(info.value) == failure_fields(want)
+            return
+        sol = solve_finite(model, term, N, raise_on_breakdown=False)
+        assert sol.solvable == (want is None)
+        if want is not None:
+            assert failure_fields(sol.breakdown) == failure_fields(want)
+        assert_stages_match(sol, stages, N)
 
 
 class TestOptimalCost:

@@ -4,6 +4,7 @@ import pytest
 from mjls import (
     InvalidInput,
     MjlsModel,
+    ObservabilityViolation,
     Policy,
     PreconditionFailed,
     closed_loop_operator,
@@ -15,6 +16,7 @@ from mjls import (
     solve_care,
     solve_finite,
     spectral_radius,
+    stabilizability,
     write_moment_csv,
 )
 from mjls.stability import observability_gramian
@@ -341,3 +343,28 @@ class TestIsStabilizable:
             is_stabilizable(scalar_model(r=0.0))
         with pytest.raises(PreconditionFailed):
             is_stabilizable(scalar_model(q=0.0))
+
+
+class TestStabilizability:
+    def test_verdict_note_and_solution(self):
+        verdict, note, sol = stabilizability(scalar_model(a=0.5))
+        assert (verdict, note) == (True, "")
+        assert np.array_equal(sol.P, solve_care(scalar_model(a=0.5)).P)
+        verdict, note, sol = stabilizability(scalar_model(a=2.0, b=0.0))
+        assert verdict is False and sol is None
+        assert note.startswith("iterates diverged after")
+        verdict, note, sol = stabilizability(scalar_model(a=1.0, b=0.0),
+                                             max_iter=200)
+        assert verdict is None and sol is None
+        assert note == ("undetermined: no convergence within 200 "
+                        "iterations (last increment 5.000e-03)")
+
+    def test_given_observability_verdict_is_used(self):
+        # The caller's verdict stands in for the Gramian test: with q = 0
+        # that test would raise PreconditionFailed, and solve_care finds
+        # the singular fixed point instead.
+        with pytest.raises(PreconditionFailed, match="not exactly "
+                           "observable: the Riccati stabilizability"):
+            stabilizability(scalar_model(a=0.5), observable=False)
+        with pytest.raises(ObservabilityViolation):
+            stabilizability(scalar_model(q=0.0), observable=True)
