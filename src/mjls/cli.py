@@ -10,6 +10,10 @@ Besides those two it takes only the flags it reads:
     simulate      --horizon --terminal --seed --trials
     verify        --horizon --terminal --seed
 
+Parsing checks the ranges, before ``--out`` is created: integers
+``--horizon`` >= 0, ``--seed`` >= 0, ``--trials`` >= 2 and ``--max-iter``
+>= 1, and a finite ``--tol`` >= 0.
+
 Exit codes partition the outcomes:
 
     0  success
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache
 from pathlib import Path
@@ -44,7 +49,6 @@ from .artifacts import write_json
 from .errors import (
     DivergedTrajectory,
     InvalidInput,
-    NotPsd,
     NotStabilizable,
     NumericalFailure,
     ObservabilityViolation,
@@ -70,17 +74,33 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
+def _at_least(kind, low):
+    """argparse type of a finite ``kind`` (int or float) of at least
+    ``low``."""
+    def parse(text):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number >= {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 # Flags besides --model and --out, and each subcommand's help and flags.
 _FLAGS = {
-    "--horizon": dict(type=int, help="stage horizon N"),
+    "--horizon": dict(type=_at_least(int, 0), help="stage horizon N"),
     "--terminal": dict(default="zero", help="'zero', 'identity', or a JSON "
                        "file holding one terminal matrix per mode"),
-    "--tol": dict(type=float, default=1e-10, help="CARE convergence "
-                  "tolerance on the relative increment of a step"),
-    "--max-iter": dict(type=int, default=10000, help="CARE step budget, "
-                       "value iterations and Newton steps together"),
-    "--seed": dict(type=int, default=0, help="RNG seed"),
-    "--trials": dict(type=int, default=50, help="Monte Carlo trial count"),
+    "--tol": dict(type=_at_least(float, 0), default=1e-10,
+                  help="CARE convergence tolerance on the relative "
+                  "increment of a step"),
+    "--max-iter": dict(type=_at_least(int, 1), default=10000,
+                       help="CARE step budget, value iterations and Newton "
+                       "steps together"),
+    "--seed": dict(type=_at_least(int, 0), default=0, help="RNG seed"),
+    "--trials": dict(type=_at_least(int, 2), default=50,
+                     help="Monte Carlo trial count"),
 }
 _COMMANDS = {
     "solve-finite": ("finite-horizon coupled Riccati recursion",
@@ -119,12 +139,12 @@ def _require_horizon(args, default=None) -> int:
     horizon = default if args.horizon is None else args.horizon
     if horizon is None:
         raise InvalidInput(f"--horizon is required for {args.command}")
-    if horizon < 0:
-        raise InvalidInput("--horizon must be nonnegative")
     return horizon
 
 
 def _terminal_matrices(spec: str, model: MjlsModel) -> list:
+    """The terminal weights that ``--terminal`` names; the solver checks
+    them (:meth:`~mjls.model.MjlsModel.terminal_weights`)."""
     n, L = model.state_dim, model.mode_count
     if spec == "zero":
         return [np.zeros((n, n)) for _ in range(L)]
@@ -137,9 +157,7 @@ def _terminal_matrices(spec: str, model: MjlsModel) -> list:
         raise InvalidInput(f"cannot read terminal file {spec}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"terminal file {spec} is not JSON: {exc}") from exc
-    if not isinstance(data, list) or len(data) != L:
-        raise InvalidInput(f"terminal file must hold a list of {L} matrices")
-    return [np.asarray(mat, dtype=float) for mat in data]
+    return data
 
 
 def _out_dir(args) -> Path:
@@ -225,7 +243,7 @@ def cmd_check(args) -> int:
         verdict, note, sol = stabilizability(
             model, report["exactly_observable"], tol=args.tol,
             max_iter=args.max_iter)
-    except (PreconditionFailed, ObservabilityViolation, NotPsd) as exc:
+    except (PreconditionFailed, ObservabilityViolation) as exc:
         report["note"] = str(exc)
     else:
         report["stabilizable"], report["note"] = verdict, note
@@ -246,8 +264,6 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     model = _load_valid_model(args)
     N = _require_horizon(args)
-    if args.trials < 2:
-        raise InvalidInput("--trials must be at least 2")
     terminal = _terminal_matrices(args.terminal, model)
     sol = solve_finite(model, terminal, N)
     trajectories = simulate_trials(model, sol.policy(), args.trials,
@@ -315,7 +331,7 @@ def main(argv=None) -> int:
     except NotStabilizable as exc:
         print(f"not stabilizable: {exc}", file=sys.stderr)
         return 3
-    except (PreconditionFailed, ObservabilityViolation, NotPsd) as exc:
+    except (PreconditionFailed, ObservabilityViolation) as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return 4
     except (DivergedTrajectory, NumericalFailure) as exc:

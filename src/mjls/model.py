@@ -57,22 +57,35 @@ DENSE_LIMIT = 32
 
 
 def _as_matrix(value, name):
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
+    try:
+        arr = np.atleast_2d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} must be a matrix of numbers") from exc
     if arr.ndim != 2:
         raise InvalidInput(f"{name} must be a matrix, got ndim={arr.ndim}")
     return arr
 
 
-def _as_stack(seq, name):
-    """Per-mode matrices as one (L, rows, cols) array; shapes must agree."""
-    if isinstance(seq, np.ndarray) and seq.ndim == 3:
-        return seq.astype(float)
-    mats = [_as_matrix(mat, f"{name}[{i}]") for i, mat in enumerate(seq)]
-    shapes = {mat.shape for mat in mats}
-    if len(shapes) != 1:
-        raise InvalidInput(
-            f"{name} matrices differ in shape across modes: {sorted(shapes)}")
-    return np.stack(mats)
+def _as_stack(seq, name, shape=None):
+    """Per-mode matrices as one (L, rows, cols) float array, ``seq`` itself
+    when it is one already; shapes must agree, and equal ``shape`` if
+    given."""
+    if not (isinstance(seq, np.ndarray) and seq.ndim == 3):
+        try:
+            mats = [_as_matrix(mat, f"{name}[{i}]")
+                    for i, mat in enumerate(seq)]
+        except TypeError as exc:
+            raise InvalidInput(f"{name} must be a list of matrices") from exc
+        shapes = {mat.shape for mat in mats}
+        if len(shapes) != 1:
+            raise InvalidInput(f"{name} matrices differ in shape across "
+                               f"modes: {sorted(shapes)}")
+        seq = np.stack(mats)
+    stack = np.asarray(seq, dtype=float)
+    if shape is not None and stack.shape != shape:
+        raise InvalidInput(f"{name} must be {shape[0]} matrices of "
+                           f"{shape[1]}x{shape[2]}, got {stack.shape}")
+    return stack
 
 
 def _as_vector(value, name):
@@ -150,8 +163,11 @@ class MjlsModel:
     x0 : (n,) array
         Known initial state.
     C : optional sequence of per-mode factors with C[i]'C[i] = Q[i]
-        Output maps used by the exact-observability test; computed on demand
-        from Q when absent.
+        Output maps, checked against Q and kept in model files; no
+        computation reads them.
+
+    :meth:`terminal_weights` and :meth:`feedback_gains` are the one check
+    of terminal weights and policies against the model.
     """
 
     A: np.ndarray
@@ -171,7 +187,8 @@ class MjlsModel:
         if len(set(lengths.values())) != 1 or lengths["A"] == 0:
             raise InvalidInput(f"per-mode matrix lists disagree: {lengths}")
         for name, seq in lists.items():
-            setattr(self, name, _as_stack(seq, name))
+            # A copy: the model freezes the arrays it holds.
+            setattr(self, name, np.array(_as_stack(seq, name)))
         if self.C is not None:
             if len(self.C) != lengths["A"]:
                 raise InvalidInput("C list length does not match mode count")
@@ -226,11 +243,52 @@ class MjlsModel:
                 f"R[{i}] must be positive definite "
                 f"(min eigenvalue {low[i]:.3e})")
 
-    def state_weight_factors(self) -> list:
-        """Per-mode C with C'C = Q, using supplied factors where available."""
-        given = self.C or [None] * self.mode_count
-        return [c if c is not None else factor_state_weight(q)
-                for c, q in zip(given, self.Q)]
+    def state_stack(self, mats, name: str) -> np.ndarray:
+        """``mats`` as an (L, n, n) float stack, not copied if it is one;
+        raises :class:`InvalidInput` for another count or shape."""
+        return _as_stack(mats, name, self.A.shape)
+
+    def terminal_weights(self, terminal) -> np.ndarray:
+        """Terminal weights as the (L, n, n) stack of the values given
+        (``None``: zero).  Raises :class:`InvalidInput` unless each is
+        finite, symmetric within ``SYMMETRY_TOL`` and PSD: no eigenvalue of
+        its symmetric part below minus its :func:`pd_floor`."""
+        if terminal is None:
+            return np.zeros(self.A.shape)
+        term = self.state_stack(terminal, "terminal")
+        # NaN from non-finite entries fails the symmetry test too.
+        bad = ~(np.max(np.abs(term - term.transpose(0, 2, 1)), axis=(1, 2))
+                <= SYMMETRY_TOL)
+        if bad.any():
+            raise InvalidInput(f"terminal[{int(np.argmax(bad))}] must be "
+                               "finite and symmetric")
+        low, floor = pd_floor(sym(term))
+        if (low < -floor).any():
+            raise InvalidInput(f"terminal[{int(np.argmax(low < -floor))}] "
+                               "must be positive semi-definite")
+        return term
+
+    def feedback_gains(self, policy: "Policy | None",
+                       stages: int | None = None) -> np.ndarray:
+        """The (L, m, n) gains of ``policy`` (``None``: zero feedback) or,
+        given ``stages``, the (stages, L, m, n) gains of stages 0..stages-1,
+        a stationary policy repeated as a read-only view.  Raises
+        :class:`InvalidInput` unless there is one m x n gain per mode and a
+        staged policy gets ``stages`` within its horizon."""
+        L, n, m = self.mode_count, self.state_dim, self.input_dim
+        gains = np.zeros((L, m, n)) if policy is None else policy.gains
+        if gains.shape[-3:] != (L, m, n):
+            raise InvalidInput(f"gains must be {L} modes of {m}x{n}, "
+                               f"got {gains.shape[-3:]}")
+        if policy is not None and policy.staged:
+            if stages is None:
+                raise InvalidInput("a stationary policy is required here")
+            if len(gains) < stages:
+                raise InvalidInput(f"staged policy covers {len(gains)} "
+                                   f"stages, {stages} needed")
+            return gains[:stages]
+        return gains if stages is None else \
+            np.broadcast_to(gains, (stages,) + gains.shape)
 
     def to_dict(self) -> dict:
         modes = [{name: getattr(self, name)[i].tolist() for name in "ABQR"}
@@ -300,10 +358,6 @@ class Policy:
     @property
     def horizon(self) -> int | None:
         return len(self.gains) - 1 if self.staged else None
-
-    @property
-    def mode_count(self) -> int:
-        return self.gains.shape[-3]
 
     def gain(self, k: int, i: int) -> np.ndarray:
         """Feedback gain applied at stage k in mode i."""

@@ -11,13 +11,14 @@ tower property: each node sums its children, weighted by their transition
 probabilities).  Stationarity, the costate relation and the
 completion-of-squares identity are evaluated node by node against the
 Riccati solver -- an independent check that shares none of its code path.
+Policies and terminal weights are checked by the model's
+:meth:`~mjls.model.MjlsModel.feedback_gains` and ``terminal_weights``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import InvalidInput, RiccatiBreakdown, TooLarge
 from .model import MjlsModel, Policy, coupled_average
 from .riccati import FiniteHorizonSolution, optimal_cost_finite, \
     solve_finite
-from .sim import gain_stack, matvec, quad, rollout
+from .sim import matvec, quad, rollout
 
 __all__ = [
     "PathEnsemble",
@@ -60,10 +61,9 @@ class PathEnsemble:
     Level k = 0..N+1 of the prefix tree holds each history theta(0..k)
     once: its last mode ``modes[k]``, the index ``parents[k]`` (k >= 1) of
     theta(0..k-1) at level k - 1 and its probability ``weights[k]``.
-    Children come mode first, then in parent order, so the last level lists
-    the rows of ``paths``, the (count, N+2) array of whole sequences, which
-    is built from the levels on first access.  ``probabilities`` are the
-    exact chain probabilities of those rows and sum to one.
+    Children come mode first, then in parent order.  ``probabilities`` are
+    the exact chain probabilities of the whole sequences, one per node of
+    the last level, and sum to one.
     """
 
     modes: list = field(repr=False)
@@ -81,15 +81,6 @@ class PathEnsemble:
     @property
     def probabilities(self) -> np.ndarray:
         return self.weights[-1]
-
-    @cached_property
-    def paths(self) -> np.ndarray:
-        paths = np.empty((self.count, self.horizon + 2), dtype=np.int64)
-        node = np.arange(self.count)
-        for k in range(self.horizon + 1, -1, -1):
-            paths[:, k] = self.modes[k][node]
-            node = self.parents[k][node] if k else node
-        return paths
 
 
 def enumerate_paths(model: MjlsModel, N: int) -> PathEnsemble:
@@ -119,16 +110,12 @@ def enumerate_paths(model: MjlsModel, N: int) -> PathEnsemble:
     return PathEnsemble(modes, parents, weights)
 
 
-def _terminal_from(terminal, model):
-    """Per-mode terminal weights as an (L, n, n) stack; ``None`` is zero."""
-    n = model.state_dim
-    if terminal is None:
-        return np.zeros((model.mode_count, n, n))
-    term = [np.asarray(mat, dtype=float) for mat in terminal]
-    for j, mat in enumerate(term):
-        if mat.shape != (n, n):
-            raise InvalidInput(f"terminal[{j}] has wrong shape {mat.shape}")
-    return np.stack(term)
+def _checked(model, N, policy, terminal):
+    """The prefix tree of horizon N, and the (1, N+1, L, m, n) gains and
+    the terminal weights that :func:`rollout` takes."""
+    ensemble = enumerate_paths(model, N)
+    return (ensemble, model.feedback_gains(policy, N + 1)[None],
+            model.terminal_weights(terminal))
 
 
 def _expect(values, weights):
@@ -172,9 +159,7 @@ def exact_cost(model: MjlsModel, policy: Policy | None, N: int,
     Sums prob(prefix) * stage cost over every node of the prefix tree, in
     fixed tree order so the value is reproducible.
     """
-    ensemble = enumerate_paths(model, N)
-    cost, _ = _tally_batch(model, ensemble, gain_stack(model, policy, N),
-                           _terminal_from(terminal, model))
+    cost, _ = _tally_batch(model, *_checked(model, N, policy, terminal))
     return float(cost[0])
 
 
@@ -195,8 +180,8 @@ class CostateSequence:
         return len(self.eta) - 1
 
 
-def _costate_pass(model, policy, N, terminal):
-    """Enumerate, roll ``policy`` once keeping every level, and form the
+def _costate_pass(model, ensemble, gains, terminal):
+    """Roll ``gains`` over the tree once keeping every level, and form the
     conditional costates eta(k), (nodes, n, 1), at every level k = 0..N.
 
     For one path the costate definition telescopes: the stage-N value is
@@ -205,11 +190,9 @@ def _costate_pass(model, policy, N, terminal):
     property the expectation given theta(0..k) is the transition-weighted
     sum of those terms over the node's children: one backward pass.
     """
-    ensemble = enumerate_paths(model, N)
-    terminal = _terminal_from(terminal, model)
-    levels = list(rollout(model, gain_stack(model, policy, N),
-                          ensemble.modes, ensemble.parents, terminal))
-    modes, parents = ensemble.modes, ensemble.parents
+    levels = list(rollout(model, gains, ensemble.modes, ensemble.parents,
+                          terminal))
+    modes, parents, N = ensemble.modes, ensemble.parents, ensemble.horizon
     value = matvec(terminal[modes[N + 1]], levels[N][3][parents[N + 1]])
     eta = [None] * (N + 1)
     for k in range(N, -1, -1):
@@ -231,7 +214,8 @@ def costate_from_definition(model: MjlsModel, policy: Policy | None, N: int,
     the expected pathwise costate integrand over the continuations, formed
     by one backward pass over the prefix tree.
     """
-    ensemble, levels, eta = _costate_pass(model, policy, N, terminal)
+    ensemble, levels, eta = _costate_pass(
+        model, *_checked(model, N, policy, terminal))
     seq = CostateSequence(eta=[], state=[])
     prefix = ensemble.modes[0][:, None]
     for k in range(N + 1):
@@ -263,7 +247,8 @@ def stationarity_residual(model: MjlsModel, policy: Policy, N: int,
     both factors are determined by the prefix, so the residual is the largest
     norm of that expression over all stages and prefixes.
     """
-    return _stationarity(model, *_costate_pass(model, policy, N, terminal))
+    return _stationarity(model, *_costate_pass(
+        model, *_checked(model, N, policy, terminal)))
 
 
 def _relation(model, sol, ensemble, levels, eta):
@@ -296,7 +281,7 @@ def costate_relation_residual(model: MjlsModel, sol: FiniteHorizonSolution,
     """
     _require_solution(sol, N)
     return _relation(model, sol, *_costate_pass(
-        model, sol.policy(), N, sol.P[N + 1]))
+        model, *_checked(model, N, sol.policy(), sol.P[N + 1])))
 
 
 def _decomposition(model, sol, lhs, excess):
@@ -320,10 +305,8 @@ def decomposition_check(model: MjlsModel, policy: Policy, N: int,
     ``policy`` with the solution's terminal weight.
     """
     _require_solution(sol, N)
-    ensemble = enumerate_paths(model, N)
-    cost, excess = _tally_batch(model, ensemble,
-                                gain_stack(model, policy, N),
-                                _terminal_from(sol.P[N + 1], model), sol)
+    cost, excess = _tally_batch(
+        model, *_checked(model, N, policy, sol.P[N + 1]), sol)
     return _decomposition(model, sol, cost[0], excess[0])
 
 
@@ -345,11 +328,10 @@ def perturbation_optimality(model: MjlsModel, sol: FiniteHorizonSolution,
     nonnegative up to roundoff.  ``count=0`` returns +inf (vacuous pass).
     """
     _require_solution(sol, N)
-    ensemble = enumerate_paths(model, N)
-    gains = np.concatenate([sol.policy().gains[None],
-                            _perturbed_gains(sol, count, scale, seed)])
-    cost, _ = _tally_batch(model, ensemble, gains,
-                           _terminal_from(sol.P[N + 1], model))
+    ensemble, gains, terminal = _checked(model, N, sol.policy(),
+                                         sol.P[N + 1])
+    gains = np.concatenate([gains, _perturbed_gains(sol, count, scale, seed)])
+    cost, _ = _tally_batch(model, ensemble, gains, terminal)
     return float(np.min(cost[1:] - cost[0], initial=math.inf))
 
 
@@ -382,8 +364,10 @@ def verification_report(model: MjlsModel, N: int, terminal, *,
     record("finite-horizon solve", 0.0, 0.0)
 
     value = optimal_cost_finite(sol, model)
+    # The solver checked the terminal weights and made the gains.
     terminal = sol.P[N + 1]
-    ensemble, levels, eta = _costate_pass(model, sol.policy(), N, terminal)
+    ensemble, levels, eta = _costate_pass(
+        model, enumerate_paths(model, N), sol.policy().gains[None], terminal)
     cost, excess = _tally(ensemble, levels, sol)
     enumerated = float(cost[0])
     record("optimal cost equals enumerated cost",

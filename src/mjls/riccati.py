@@ -84,19 +84,6 @@ def _frozen(*arrays):
     return arrays
 
 
-def _square_stack(mats, L, n, name):
-    """``mats`` as an (L, n, n) float array; raises InvalidInput otherwise."""
-    if len(mats) != L:
-        raise InvalidInput(f"expected {L} {name} matrices, got {len(mats)}")
-    try:
-        stack = np.asarray(mats, dtype=float)
-    except ValueError as exc:
-        raise InvalidInput(f"{name} matrices must share one shape") from exc
-    if stack.shape != (L, n, n):
-        raise InvalidInput(f"{name} matrices must be {n}x{n}")
-    return stack
-
-
 def _relative_change(new, old) -> float:
     """Largest per-mode ||new[i] - old[i]||_F / (1 + ||old[i]||_F)."""
     return float(np.max(np.linalg.norm(new - old, axis=(1, 2))
@@ -177,8 +164,7 @@ def cdre_step(P_next, model: MjlsModel, stage=None):
     ``1e-10 * (1 + ||Upsilon[i]||)``), then :class:`NumericalFailure` when
     P[i] overflows.
     """
-    P_next = _square_stack(P_next, model.mode_count, model.state_dim,
-                           "cost-to-go")
+    P_next = model.state_stack(P_next, "cost-to-go")
     P, ups, mat, gain, _ = _riccati_step(P_next, model)
     low = _check_stages(ups[None], P[None], (stage,))[0]
     return P, ups, mat, gain, low
@@ -215,36 +201,24 @@ def solve_finite(model: MjlsModel, terminal, N: int,
                  raise_on_breakdown: bool = True) -> FiniteHorizonSolution:
     """Run the coupled backward recursion from stage N down to stage 0.
 
-    ``terminal`` is the list of per-mode symmetric PSD terminal weights
-    (stage N+1).  The step runs without checks over the whole horizon, and
-    the stages are then checked at once: the first failure from stage N
-    down is raised as :func:`cdre_step` raises it.  With
+    ``terminal`` holds the per-mode weights of stage N+1, as
+    :meth:`~mjls.model.MjlsModel.terminal_weights` checks them.  The step
+    runs without checks over the whole horizon, and the stages are then
+    checked at once: the first failure from stage N down is raised as
+    :func:`cdre_step` raises it.  With
     ``raise_on_breakdown=False`` a breakdown is recorded on the returned
     solution instead of raised, and the stages at and below it are None.
     """
     model.ensure_valid()
     if N < 0:
         raise InvalidInput("horizon must be nonnegative")
-    term = _square_stack(terminal, model.mode_count, model.state_dim,
-                         "terminal")
-    # NaN from non-finite entries fails the symmetry test too.
-    bad = ~(np.max(np.abs(term - term.transpose(0, 2, 1)), axis=(1, 2))
-            <= 1e-12)
-    if bad.any():
-        raise InvalidInput(
-            f"terminal[{int(np.argmax(bad))}] must be finite and symmetric")
-    term = sym(term)
-    low, floor = pd_floor(term)
-    if (low < -floor).any():
-        raise InvalidInput(f"terminal[{int(np.argmax(low < -floor))}] "
-                           "must be positive semi-definite")
-
+    term = model.terminal_weights(terminal)
     L, n, m = model.mode_count, model.state_dim, model.input_dim
     P = np.empty((N + 2, L, n, n))
     ups = np.empty((N + 1, L, m, m))
     M = np.empty((N + 1, L, m, n))
     K = np.empty_like(M)
-    P[N + 1] = term
+    P[N + 1] = sym(term)
     # One sweep without checks; the checks then run on whole stacks.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(N, -1, -1):
@@ -263,8 +237,7 @@ def solve_finite(model: MjlsModel, terminal, N: int,
         breakdown, top = exc, exc.stage + 1
         eigs = np.full((N + 1, L), np.nan)
         eigs[top:] = pd_floor(ups[top:])[0]
-    for stack in (P, ups, M, K, eigs):
-        stack.flags.writeable = False
+    _frozen(P, ups, M, K, eigs)
     below = [None] * top
     return FiniteHorizonSolution(
         horizon=N, P=below + list(P[top:]), Upsilon=below + list(ups[top:]),
@@ -374,7 +347,7 @@ def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,
     model.require_pd_input_weights()
     L, n = model.mode_count, model.state_dim
     P = np.zeros((L, n, n)) if initial is None else \
-        sym(_square_stack(initial, L, n, "initial"))
+        sym(model.state_stack(initial, "initial"))
     # Newton steps end for good once one fails to shrink its increment:
     # the dense solve has then reached its rounding floor, and value
     # iterations finish the convergence.

@@ -112,28 +112,16 @@ def quad(v, M):
     return out
 
 
-def gain_stack(model: MjlsModel, policy: Policy | None, N: int):
-    """A policy's gains for stages 0..N as the (1, N+1, L, m, n) stack that
-    :func:`rollout` takes; ``None`` is the open loop u = 0."""
-    if policy is not None and policy.staged:
-        if policy.horizon < N:
-            raise InvalidInput(
-                f"staged policy horizon {policy.horizon} shorter than {N}")
-        return policy.gains[None, :N + 1]
-    gains = (np.zeros((model.mode_count, model.input_dim, model.state_dim))
-             if policy is None else policy.gains)
-    return np.broadcast_to(gains, (1, N + 1) + gains.shape)
-
-
-def rollout(model: MjlsModel, gains, modes, parents=None, terminal=None):
+def rollout(model: MjlsModel, gains, modes, parents, terminal):
     """Roll the closed loop level by level over a tree of mode prefixes.
 
     ``modes[k]`` holds theta(k) at every node of level k = 0..N+1 and
     ``parents[k]`` (k >= 1; entry 0 is unused) the index of each node's
     parent at level k - 1; ``parents=None`` is the flat tree of independent
     trials.  ``gains`` stacks the feedback of P policies rolled together as
-    (P, N+1, L, m, n) (see :func:`gain_stack`); ``terminal`` holds one
-    weight per mode (``None``: zero).
+    (P, N+1, L, m, n) and ``terminal`` holds one weight per mode, both as
+    the model's :meth:`~mjls.model.MjlsModel.feedback_gains` and
+    :meth:`~mjls.model.MjlsModel.terminal_weights` return them.
 
     Yields ``(x, u, cost, x_next)`` for each level k = 0..N: states x(k)
     (nodes, n, P), controls (nodes, m, P), stage costs (nodes, P) and
@@ -142,7 +130,7 @@ def rollout(model: MjlsModel, gains, modes, parents=None, terminal=None):
     the first step whose state is not finite; its ``trial`` is the first
     trial, or leaf of the tree, that passes through that state.
     """
-    L, n = model.mode_count, model.state_dim
+    n = model.state_dim
     N = len(modes) - 2
     table = np.moveaxis(gains, 0, -1)
     x = np.broadcast_to(model.x0[:, None], (len(modes[0]), n, len(gains)))
@@ -161,8 +149,6 @@ def rollout(model: MjlsModel, gains, modes, parents=None, terminal=None):
                 step=k + 1, trial=int(np.argmax(bad)))
         yield x, u, cost, nxt
         x = nxt if parents is None else nxt[parents[k + 1]]
-    terminal = (np.zeros((L, n, n)) if terminal is None
-                else np.asarray(terminal, dtype=float))
     # One form per parent node and leaf mode: leaves share their parent's
     # state, so no state is gathered onto the widest level.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -193,18 +179,19 @@ class Trajectory:
 
 
 def _check_rollout_args(model, policy, N, terminal):
+    """The (1, N+1, L, m, n) gains and terminal weights :func:`rollout`
+    takes."""
     model.ensure_valid()
     if N < 0:
         raise InvalidInput("horizon must be nonnegative")
-    if terminal is not None and len(terminal) != model.mode_count:
-        raise InvalidInput(f"expected {model.mode_count} terminal matrices")
-    return gain_stack(model, policy, N)
+    return (model.feedback_gains(policy, N + 1)[None],
+            model.terminal_weights(terminal))
 
 
-def _trajectories(model, gains, modes, terminal):
+def _trajectories(model, gains, terminal, modes):
     """One :class:`Trajectory` per row of a (trials, N+2) mode array."""
-    *stages, (_, _, term, _) = rollout(model, gains, modes.T,
-                                       terminal=terminal)
+    *stages, (_, _, term, _) = rollout(model, gains, modes.T, None,
+                                       terminal)
     xs, us, costs, nxts = zip(*stages)
     states = np.stack(xs + nxts[-1:], axis=1)[..., 0]
     controls = np.stack(us, axis=1)[..., 0]
@@ -236,8 +223,8 @@ def simulate_closed_loop(model: MjlsModel, policy: Policy | None,
         raise InvalidInput("mode path must hold at least two entries")
     if path.min() < 0 or path.max() >= model.mode_count:
         raise InvalidInput("mode path contains out-of-range modes")
-    gains = _check_rollout_args(model, policy, path.shape[0] - 2, terminal)
-    return _trajectories(model, gains, path[None], terminal)[0]
+    return _trajectories(model, *_check_rollout_args(
+        model, policy, path.shape[0] - 2, terminal), path[None])[0]
 
 
 def simulate_trials(model: MjlsModel, policy: Policy | None, trials: int,
@@ -247,11 +234,13 @@ def simulate_trials(model: MjlsModel, policy: Policy | None, trials: int,
     Trial t follows the mode path drawn from block t of the one stream
     ``default_rng(seed)`` (trial 0 is :func:`sample_markov_chain` at
     ``seed``), and its ``total_cost`` is the value
-    :func:`monte_carlo_cost` averages.
+    :func:`monte_carlo_cost` averages.  The model checks ``policy`` and
+    ``terminal`` (:meth:`~mjls.model.MjlsModel.feedback_gains`,
+    :meth:`~mjls.model.MjlsModel.terminal_weights`).
     """
-    gains = _check_rollout_args(model, policy, N, terminal)
-    modes = _sample_trials(model, 0, trials, seed, N)
-    return _trajectories(model, gains, modes, terminal)
+    checked = _check_rollout_args(model, policy, N, terminal)
+    return _trajectories(model, *checked,
+                         _sample_trials(model, 0, trials, seed, N))
 
 
 def cost_statistics(costs):
@@ -273,7 +262,7 @@ def monte_carlo_cost(model: MjlsModel, policy: Policy | None, trials: int,
     """
     if trials < 2:
         raise InvalidInput("at least two trials are needed")
-    gains = _check_rollout_args(model, policy, N, terminal)
+    gains, terminal = _check_rollout_args(model, policy, N, terminal)
 
     def run(span):
         lo, hi = span
@@ -281,8 +270,8 @@ def monte_carlo_cost(model: MjlsModel, policy: Policy | None, trials: int,
         total = 0.0
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                for _, _, cost, _ in rollout(model, gains, modes.T,
-                                             terminal=terminal):
+                for _, _, cost, _ in rollout(model, gains, modes.T, None,
+                                             terminal):
                     total = total + cost[:, 0]
         except DivergedTrajectory as exc:
             exc.trial += lo

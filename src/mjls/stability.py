@@ -52,23 +52,13 @@ RADIUS_TOL = 1e-12
 RADIUS_MAX_ITER = 10000
 
 
-def _with_gains(model: MjlsModel, gains) -> np.ndarray:
-    """A + B F for an (..., L, m, n) gain stack."""
-    L, n, m = model.mode_count, model.state_dim, model.input_dim
-    if gains.shape[-3:] != (L, m, n):
-        raise InvalidInput(
-            f"gains must be {L} modes of {m}x{n}, got {gains.shape}")
-    return model.A + model.B @ gains
-
-
 def closed_loop_matrices(model: MjlsModel,
                          policy: Policy | None) -> np.ndarray:
-    """Stacked (L, n, n) A[i] + B[i] F[i]; a copy of A without a policy."""
+    """Stacked (L, n, n) A[i] + B[i] F[i] of a stationary policy; a copy of
+    A without a policy."""
     if policy is None:
         return model.A.copy()
-    if policy.staged:
-        raise InvalidInput("a stationary policy is required here")
-    return _with_gains(model, policy.gains)
+    return model.A + model.B @ model.feedback_gains(policy)
 
 
 def closed_loop_operator(model: MjlsModel,
@@ -178,15 +168,8 @@ def propagate_second_moment(model: MjlsModel, policy: Policy | None,
     model.ensure_valid()
     if steps < 0:
         raise InvalidInput("steps must be nonnegative")
-    if policy is None:
-        abar = model.A
-    elif policy.staged and steps > policy.horizon + 1:
-        raise InvalidInput(
-            f"staged policy covers {policy.horizon + 1} steps, "
-            f"asked for {steps}")
-    else:
-        abar = _with_gains(model, policy.gains[:steps] if policy.staged
-                           else policy.gains)
+    abar = model.A if policy is None else model.A + model.B @ \
+        model.feedback_gains(policy, steps if policy.staged else None)
     abar = np.broadcast_to(abar, (steps,) + model.A.shape)
     x0, lam = model.x0, model.transition
     X = np.empty((steps + 1,) + model.A.shape)
@@ -240,8 +223,6 @@ def is_exactly_observable(model: MjlsModel, horizon: int | None = None,
     initial probability are checked; ``strict=True`` demands all of them.
     """
     model.ensure_valid()
-    # Factoring Q certifies it is a valid C'C when no output map was given.
-    model.state_weight_factors()
     G = observability_gramian(model, model.state_dim * model.mode_count
                               if horizon is None else horizon)
     low, floor = pd_floor(G if strict else G[model.initial_distribution > 0])

@@ -360,6 +360,19 @@ def semidefinite_input_weight_model():
         initial_distribution=[0.3, 0.7], x0=[1.0, -2.0])
 
 
+def ensemble_paths(ensemble):
+    """The (count, N+2) whole mode sequences of a
+    :class:`~mjls.PathEnsemble`, one per node of its last level, read back
+    through the parent links."""
+    N = ensemble.horizon
+    paths = np.empty((ensemble.count, N + 2), dtype=np.int64)
+    node = np.arange(ensemble.count)
+    for k in range(N + 1, -1, -1):
+        paths[:, k] = ensemble.modes[k][node]
+        node = ensemble.parents[k][node] if k else node
+    return paths
+
+
 def literal_mode_first_paths(model, N):
     """Positive-probability paths extended one slot at a time: for each
     next mode j in ascending order, every kept path in its current order."""

@@ -23,6 +23,15 @@ from conftest import edge_model, scalar_model
 ALL_COMMANDS = ("solve-finite", "solve-care", "check", "simulate", "verify")
 
 
+def run_python(*args):
+    """``python *args`` in a child process that imports this ``mjls``,
+    whether or not ``PYTHONPATH`` names it."""
+    import mjls
+    src = str(Path(mjls.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+
+
 def write_model(model, tmp_path, name="model.json"):
     path = tmp_path / name
     save_model(model, path)
@@ -347,10 +356,8 @@ class TestUnwritableOutput:
     def test_out_is_an_existing_file(self, bench_file, tmp_path):
         out = tmp_path / "taken"
         out.write_text("")
-        result = subprocess.run(
-            [sys.executable, "-m", "mjls", "check", "--model",
-             str(bench_file), "--out", str(out)],
-            capture_output=True, text=True)
+        result = run_python("-m", "mjls", "check", "--model",
+                            str(bench_file), "--out", str(out))
         assert result.returncode == 1
         assert result.stderr == f"error: cannot write {out}: File exists\n"
 
@@ -388,10 +395,8 @@ class TestDeterminism:
 
 class TestEntryPoint:
     def test_module_invocation(self, bench_file, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "mjls", "check",
-             "--model", str(bench_file), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+        result = run_python("-m", "mjls", "check", "--model",
+                            str(bench_file), "--out", str(tmp_path / "out"))
         assert result.returncode == 0
         assert "open-loop radius" in result.stdout
 
@@ -477,12 +482,7 @@ class TestImport:
     def test_import_does_not_load_scipy(self):
         # Every CLI call pays the package import; scipy alone costs more
         # than numpy does.
-        import mjls
-        src = str(Path(mjls.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, mjls; print('scipy' in sys.modules)"],
-            capture_output=True, text=True, env={**os.environ,
-                                                 "PYTHONPATH": src})
+        result = run_python(
+            "-c", "import sys, mjls; print('scipy' in sys.modules)")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"

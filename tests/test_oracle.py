@@ -21,6 +21,7 @@ from mjls import (
 
 from conftest import scalar_model
 from corpus import (
+    ensemble_paths,
     iter_positive_paths,
     literal_costates,
     random_model,
@@ -49,7 +50,7 @@ class TestEnumeratePaths:
         ens = enumerate_paths(model, 3)
         assert ens.count == 2
         assert np.allclose(ens.probabilities, 0.5)
-        for row in ens.paths:
+        for row in ensemble_paths(ens):
             assert np.all(row == row[0])
 
     def test_benchmark_counts_and_mass(self, bench):
@@ -67,13 +68,13 @@ class TestEnumeratePaths:
             initial_distribution=[1.0, 0.0], x0=[1.0])
         ens = enumerate_paths(model, 2)
         assert ens.count == 1
-        assert np.array_equal(ens.paths[0], [0, 1, 1, 1])
+        assert np.array_equal(ensemble_paths(ens)[0], [0, 1, 1, 1])
 
     def test_matches_literal_enumeration(self, bench):
         ens = enumerate_paths(bench, 3)
         expected = {tuple(p): prob for p, prob in iter_positive_paths(bench, 3)}
-        got = {tuple(int(v) for v in ens.paths[idx]): ens.probabilities[idx]
-               for idx in range(ens.count)}
+        got = {tuple(int(v) for v in path): prob
+               for path, prob in zip(ensemble_paths(ens), ens.probabilities)}
         assert got.keys() == expected.keys()
         for key in expected:
             assert got[key] == pytest.approx(expected[key], rel=1e-14)

@@ -33,10 +33,10 @@ from mjls import (
     write_trajectory_csv,
 )
 from mjls.cli import main
-from mjls.sim import gain_stack
 
 from conftest import scalar_model, two_mode_benchmark
 from corpus import (
+    ensemble_paths,
     literal_mode_first_paths,
     literal_trajectory_csv,
     random_stationary_policy,
@@ -65,8 +65,8 @@ def stream_paths(model, seed, N, trials):
 def flat_rollout(model, policy, paths, terminal):
     """States, controls and total costs of each row of ``paths``."""
     N = paths.shape[1] - 2
-    levels = list(rollout(model, gain_stack(model, policy, N), paths.T,
-                          terminal=terminal))
+    levels = list(rollout(model, model.feedback_gains(policy, N + 1)[None],
+                          paths.T, None, model.terminal_weights(terminal)))
     xs = np.stack([lvl[0][..., 0] for lvl in levels[:-1]]
                   + [levels[-2][3][..., 0]], axis=1)
     us = np.stack([lvl[1][..., 0] for lvl in levels[:-1]], axis=1)
@@ -97,13 +97,14 @@ class TestFlatTree:
         N = 4
         for model in stacked_corpus(rng, count=12):
             paths = rng.integers(0, model.mode_count, (7, N + 2)).T
-            stacks = [gain_stack(model, policy, N)
+            stacks = [model.feedback_gains(policy, N + 1)[None]
                       for policy in corpus_policies(rng, model, N)]
-            term = [np.eye(model.state_dim)] * model.mode_count
-            batch = list(rollout(model, np.concatenate(stacks), paths,
-                                 terminal=term))
+            term = model.terminal_weights(
+                [np.eye(model.state_dim)] * model.mode_count)
+            batch = list(rollout(model, np.concatenate(stacks), paths, None,
+                                 term))
             for p, gains in enumerate(stacks):
-                alone = rollout(model, gains, paths, terminal=term)
+                alone = rollout(model, gains, paths, None, term)
                 for both, one in zip(batch, alone):
                     for a, b in zip(both, one):
                         if a is not None:
@@ -137,7 +138,7 @@ class TestPrefixTree:
             N = 3 if model.mode_count < 4 else 2
             ens = enumerate_paths(model, N)
             paths, probs = literal_mode_first_paths(model, N)
-            assert np.array_equal(ens.paths, paths)
+            assert np.array_equal(ensemble_paths(ens), paths)
             assert np.array_equal(ens.probabilities, probs)
             assert np.array_equal(ens.weights[-1], probs)
             # Every node's parent holds the node's history minus its mode.
@@ -173,7 +174,7 @@ class TestPrefixTree:
         with pytest.raises(DivergedTrajectory) as info:
             exact_cost(model, None, 3)
         assert info.value.step == 2
-        paths = enumerate_paths(model, 3).paths
+        paths = ensemble_paths(enumerate_paths(model, 3))
         through = np.nonzero((paths[:, :2] == [2, 2]).all(axis=1))[0]
         assert info.value.trial == through[0]
 
@@ -216,8 +217,9 @@ class TestPrefixTree:
         monkeypatch.setattr(mjls.oracle, "enumerate_paths", keeping)
         assert verification_report(bench, 5, [np.eye(2)] * 2)["passed"]
         (ens,) = ensembles
-        assert "paths" not in vars(ens)
-        assert np.array_equal(ens.paths, literal_mode_first_paths(bench, 5)[0])
+        assert not hasattr(ens, "paths")
+        assert np.array_equal(ensemble_paths(ens),
+                              literal_mode_first_paths(bench, 5)[0])
 
     def test_wide_tree_memory_guard(self):
         # 2**16 paths; 93 MB is what the per-path oracle peaked at here.
