@@ -88,13 +88,6 @@ def _as_stack(seq, name, shape=None):
     return stack
 
 
-def _as_vector(value, name):
-    arr = np.asarray(value, dtype=float).reshape(-1)
-    if arr.ndim != 1:
-        raise InvalidInput(f"{name} must be a vector")
-    return arr
-
-
 def sym(matrix):
     """Explicitly symmetrize a matrix or a stack of them (stops drift)."""
     return 0.5 * (matrix + matrix.swapaxes(-1, -2))
@@ -195,9 +188,9 @@ class MjlsModel:
             self.C = [None if mat is None else _as_matrix(mat, f"C[{i}]")
                       for i, mat in enumerate(self.C)]
         self.transition = _as_matrix(self.transition, "transition")
-        self.initial_distribution = _as_vector(
-            self.initial_distribution, "initial_distribution")
-        self.x0 = _as_vector(self.x0, "x0")
+        self.initial_distribution, self.x0 = (
+            np.asarray(vec, dtype=float).reshape(-1)
+            for vec in (self.initial_distribution, self.x0))
         for arr in self._all_arrays():
             arr.flags.writeable = False
 

@@ -26,7 +26,7 @@ from .errors import InvalidInput, RiccatiBreakdown, TooLarge
 from .model import MjlsModel, Policy, coupled_average
 from .riccati import FiniteHorizonSolution, optimal_cost_finite, \
     solve_finite
-from .sim import matvec, quad, rollout
+from .sim import matvec, quad, require_seed, rollout
 
 __all__ = [
     "PathEnsemble",
@@ -348,6 +348,7 @@ def verification_report(model: MjlsModel, N: int, terminal, *,
     costates, stationarity and decomposition, and one batched roll serves
     the arbitrary policy and every perturbation.
     """
+    require_seed(seed)
     checks = []
 
     def record(name, residual, tolerance):

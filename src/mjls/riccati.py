@@ -35,11 +35,13 @@ One step handles all modes on the stacked (L, ., .) arrays of
 ``solve`` give Upsilon, M, P and the gains.  Its checks are separate: one
 batched ``eigvalsh`` certifies that Upsilon is definite and ``isfinite``
 catches overflow.  :func:`cdre_step` checks each step; :func:`solve_finite`
-runs the unchecked step from stage N down to 0 and then checks all stages
-at once, raising the failure the stage-by-stage checks would have met
-first.  The Lyapunov equation is one dense solve of size L n^2, after one
-dense ``eigvals`` of the same size certifies the gain.  Only numpy is
-needed.
+runs the unchecked step from stage N down and then checks the stages at once,
+raising the failure the stage-by-stage checks would have met first.  Rounding
+often brings the sweep to a fixed point or a short cycle, a P(k) equal bit for
+bit to some P(k + p); the step reads only P(k+1), so every stage below k
+repeats that cycle exactly, and the sweep stops there and copies it.  The
+Lyapunov equation is one dense solve of size L n^2, after one dense ``eigvals``
+of the same size certifies the gain.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -203,9 +205,11 @@ def solve_finite(model: MjlsModel, terminal, N: int,
 
     ``terminal`` holds the per-mode weights of stage N+1, as
     :meth:`~mjls.model.MjlsModel.terminal_weights` checks them.  The step
-    runs without checks over the whole horizon, and the stages are then
-    checked at once: the first failure from stage N down is raised as
-    :func:`cdre_step` raises it.  With
+    runs without checks down to stage 0, or to a stage k whose P repeats a
+    later P(k + p) bit for bit; the stages below k repeat that cycle (see
+    the module docstring) and are copied from it.  The computed stages are
+    checked at once: the first failure from stage N down, never in a copy,
+    is raised as :func:`cdre_step` raises it.  With
     ``raise_on_breakdown=False`` a breakdown is recorded on the returned
     solution instead of raised, and the stages at and below it are None.
     """
@@ -219,9 +223,18 @@ def solve_finite(model: MjlsModel, terminal, N: int,
     M = np.empty((N + 1, L, m, n))
     K = np.empty_like(M)
     P[N + 1] = sym(term)
-    # One sweep without checks; the checks then run on whole stacks.
+    # One sweep without checks, to stage 0 or to a repeated P.  ``seen``
+    # keys the last stage by P's first 32 entries, as cheap at any size; a
+    # hit counts when all bytes agree.  Checks then run on the stacks.
+    flat = P.reshape(N + 2, -1)
+    seen, stop, period = {}, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(N, -1, -1):
+            key = flat[k + 1, :32].tobytes()
+            j, seen[key] = seen.get(key), k + 1
+            if j and flat[j].tobytes() == flat[k + 1].tobytes():
+                stop, period = k + 1, j - k - 1
+                break
             P[k], ups[k], M[k], K[k], solved = _riccati_step(P[k + 1], model)
             if not solved:
                 # Stage k fails its checks, so no stage below is read.
@@ -230,13 +243,18 @@ def solve_finite(model: MjlsModel, terminal, N: int,
     top = 0
     breakdown = None
     try:
-        eigs = _check_stages(ups, P[:N + 1], range(N + 1))
+        eigs = _check_stages(ups[stop:], P[stop:N + 1], range(stop, N + 1))
     except RiccatiBreakdown as exc:
         if raise_on_breakdown:
             raise
         breakdown, top = exc, exc.stage + 1
         eigs = np.full((N + 1, L), np.nan)
         eigs[top:] = pd_floor(ups[top:])[0]
+    if period and breakdown is None:
+        fill = stop + (np.arange(stop) - stop) % period
+        eigs = np.concatenate([eigs[fill - stop], eigs])
+        for stack in (P, ups, M, K):
+            stack[:stop] = stack[fill]
     _frozen(P, ups, M, K, eigs)
     below = [None] * top
     return FiniteHorizonSolution(

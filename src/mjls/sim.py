@@ -57,6 +57,12 @@ def _inverse_cdf(transition, pi0, uniforms):
     return modes
 
 
+def require_seed(seed):
+    """Reject a negative integer seed, which numpy takes for a ValueError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {seed}")
+
+
 def sample_markov_chain(transition, initial_distribution, N: int, seed):
     """Sample one mode path theta(0..N+1); deterministic given ``seed``.
 
@@ -71,9 +77,9 @@ def sample_markov_chain(transition, initial_distribution, N: int, seed):
         raise InvalidInput("transition shape does not match distribution")
     if N < 0:
         raise InvalidInput("horizon must be nonnegative")
-    rng = (seed if isinstance(seed, np.random.Generator)
-           else np.random.default_rng(seed))
-    return _inverse_cdf(transition, pi0, rng.random((1, N + 2)))[0]
+    require_seed(seed)
+    return _inverse_cdf(transition, pi0,
+                        np.random.default_rng(seed).random((1, N + 2)))[0]
 
 
 def _sample_trials(model, first, trials, seed, N):
@@ -239,6 +245,7 @@ def simulate_trials(model: MjlsModel, policy: Policy | None, trials: int,
     :meth:`~mjls.model.MjlsModel.terminal_weights`).
     """
     checked = _check_rollout_args(model, policy, N, terminal)
+    require_seed(seed)
     return _trajectories(model, *checked,
                          _sample_trials(model, 0, trials, seed, N))
 
@@ -263,6 +270,7 @@ def monte_carlo_cost(model: MjlsModel, policy: Policy | None, trials: int,
     if trials < 2:
         raise InvalidInput("at least two trials are needed")
     gains, terminal = _check_rollout_args(model, policy, N, terminal)
+    require_seed(seed)
 
     def run(span):
         lo, hi = span

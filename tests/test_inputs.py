@@ -1,9 +1,11 @@
-"""Terminal weights, policies and CLI flags are checked where they enter.
+"""Terminal weights, policies, seeds and CLI flags are checked where they
+enter.
 
 Every public function that takes a terminal weight or a feedback policy
 checks it against the model through ``MjlsModel.terminal_weights`` and
 ``MjlsModel.feedback_gains``, so each rejects the same bad inputs with
-:class:`InvalidInput`.  The CLI checks the range of each numeric flag while
+:class:`InvalidInput`; each that takes a seed rejects a negative one.  The
+CLI checks the range of each numeric flag while
 parsing: exit 1, a message naming the flag, and no output directory.
 """
 
@@ -26,6 +28,7 @@ from mjls import (
     is_mss,
     monte_carlo_cost,
     propagate_second_moment,
+    sample_markov_chain,
     save_model,
     simulate_closed_loop,
     simulate_trials,
@@ -99,6 +102,37 @@ def test_entry_point_accepts_valid_inputs(call):
 def test_entry_point_rejects_bad_input(call, policy, terminal):
     with pytest.raises(InvalidInput):
         call(policy, terminal)
+
+
+# name -> call with a seed
+SEEDED = {
+    "sample_markov_chain": lambda seed: sample_markov_chain(
+        BENCH.transition, BENCH.initial_distribution, 3, seed),
+    "simulate_closed_loop": lambda seed: simulate_closed_loop(
+        BENCH, None, seed=seed, N=3),
+    "simulate_trials": lambda seed: simulate_trials(BENCH, None, 4, seed, 3),
+    "monte_carlo_cost": lambda seed: monte_carlo_cost(BENCH, None, 4, seed,
+                                                      3),
+    "verification_report": lambda seed: verification_report(BENCH, 3, EYE,
+                                                            seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-7), -2 ** 70])
+@pytest.mark.parametrize("name", SEEDED)
+def test_negative_seed_rejected(name, seed):
+    with pytest.raises(InvalidInput, match="seed must be nonnegative"):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_seed_sequence_and_generator_seeds_accepted(name):
+    SEEDED[name](0)
+    SEEDED[name](np.random.SeedSequence(5))
+    # Trials are drawn from a fresh stream, so the batch entry points take
+    # no Generator (its state would carry over between spans).
+    if name not in ("simulate_trials", "monte_carlo_cost"):
+        SEEDED[name](np.random.default_rng(5))
 
 
 def test_terminal_check_returns_the_weights_as_given():

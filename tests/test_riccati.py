@@ -239,6 +239,40 @@ def assert_stages_match(sol, stages, N):
                 assert got[k].tobytes() == want.tobytes(), k
 
 
+def assert_matches_stepwise(model, terminal, N):
+    """solve_finite from the ``terminal`` ("zero" or "identity") weights
+    raises what the stepwise recursion raised, with either
+    ``raise_on_breakdown``, and otherwise records its failure and holds its
+    bits at every stage."""
+    n, L = model.state_dim, model.mode_count
+    term = [np.zeros((n, n)) if terminal == "zero" else np.eye(n)] * L
+    stages, want = stepwise_finite(model, term, N)
+    if isinstance(want, NumericalFailure):
+        for raise_on_breakdown in (True, False):
+            with pytest.raises(NumericalFailure) as info:
+                solve_finite(model, term, N, raise_on_breakdown)
+            assert failure_fields(info.value) == failure_fields(want)
+        return
+    if isinstance(want, RiccatiBreakdown):
+        with pytest.raises(RiccatiBreakdown) as info:
+            solve_finite(model, term, N)
+        assert failure_fields(info.value) == failure_fields(want)
+    sol = solve_finite(model, term, N, raise_on_breakdown=False)
+    assert sol.solvable == (want is None)
+    if want is not None:
+        assert failure_fields(sol.breakdown) == failure_fields(want)
+    assert_stages_match(sol, stages, N)
+
+
+def counted_steps(monkeypatch):
+    """A list that gains one entry per call of the unchecked Riccati step."""
+    steps = []
+    step = mjls.riccati._riccati_step
+    monkeypatch.setattr(mjls.riccati, "_riccati_step",
+                        lambda *args: steps.append(1) or step(*args))
+    return steps
+
+
 def chained_scalar_modes(a0, b1, A1=0.7, q1=1.0, r1=0.0):
     """Mode 0 is uncontrolled (b = 0) with dynamics a0 and feeds mode 1
     (both rows of the chain jump to mode 0), so Upsilon[1](k) = b1^2
@@ -294,10 +328,7 @@ class TestBatchedStageChecks:
     def test_failed_solve_ends_the_sweep(self, monkeypatch):
         # Upsilon is exactly 0 at stage N - 1, so its solve fails there and
         # the 10^4 stages below it are never stepped.
-        steps = []
-        step = mjls.riccati._riccati_step
-        monkeypatch.setattr(mjls.riccati, "_riccati_step",
-                            lambda *args: steps.append(1) or step(*args))
+        steps = counted_steps(monkeypatch)
         model = scalar_model(a=1.0, b=1.0, q=0.0, r=0.0)
         sol = solve_finite(model, [np.eye(1)], 10 ** 4,
                            raise_on_breakdown=False)
@@ -320,18 +351,60 @@ class TestBatchedStageChecks:
                           R=r_scale * base.R, transition=base.transition,
                           initial_distribution=base.initial_distribution,
                           x0=base.x0)
-        n, L = model.state_dim, model.mode_count
-        term = [np.zeros((n, n)) if terminal == "zero" else np.eye(n)] * L
+        assert_matches_stepwise(model, terminal, N)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(0, 300),
+           terminal=st.sampled_from(["zero", "identity"]),
+           variant=st.sampled_from(["plain"] * 3
+                                   + ["R = 0", "huge A", "huge B"]))
+    def test_repeated_tails_match_stepwise_recursion(self, seed, N, terminal,
+                                                     variant):
+        # Small models at long horizons mostly reach a fixed point or a
+        # cycle, below which solve_finite copies stages instead of
+        # stepping.  R = 0 lets Upsilon break down; a huge A lets P
+        # overflow, a huge B Upsilon.
+        rng = np.random.default_rng(seed)
+        base = random_model(rng, n_max=2, m_max=2, L_max=3)
+        scale = {"A": 1e40 if variant == "huge A" else 1.0,
+                 "B": 1e160 if variant == "huge B" else 1.0,
+                 "R": 0.0 if variant == "R = 0" else 1.0}
+        model = MjlsModel(A=scale["A"] * base.A, B=scale["B"] * base.B,
+                          Q=base.Q, R=scale["R"] * base.R,
+                          transition=base.transition,
+                          initial_distribution=base.initial_distribution,
+                          x0=base.x0)
+        assert_matches_stepwise(model, terminal, N)
+
+    def test_fixed_point_ends_the_sweep(self, monkeypatch):
+        # The scalar recursion reaches its fixed point in a few dozen
+        # steps; the 10^4 stages below it are copies.
+        model = scalar_model(a=0.9, b=1.0, q=1.0, r=1.0)
+        N = 10 ** 4
+        stages, want = stepwise_finite(model, [np.eye(1)], N)
+        assert want is None
+        steps = counted_steps(monkeypatch)
+        sol = solve_finite(model, [np.eye(1)], N)
+        assert len(steps) < 100
+        fields = (sol.P, sol.Upsilon, sol.M, sol.K, sol.upsilon_min_eig)
+        for k in (0, 1, N):
+            for got, want in zip(fields, stages[k]):
+                assert got[k].tobytes() == want.tobytes(), k
+
+    # Seeds of random_model(n_max=2, m_max=2, L_max=3) whose recursion from
+    # the identity ends in a cycle of period 2, 3, 8 and 12.
+    @pytest.mark.parametrize("seed", [0, 1, 4, 9])
+    def test_cycle_is_copied_bit_for_bit(self, seed, monkeypatch):
+        model = random_model(np.random.default_rng(seed), n_max=2, m_max=2,
+                             L_max=3)
+        term = identity_terminal(model)
+        N = 300
         stages, want = stepwise_finite(model, term, N)
-        if isinstance(want, NumericalFailure):
-            with pytest.raises(NumericalFailure) as info:
-                solve_finite(model, term, N, raise_on_breakdown=False)
-            assert failure_fields(info.value) == failure_fields(want)
-            return
-        sol = solve_finite(model, term, N, raise_on_breakdown=False)
-        assert sol.solvable == (want is None)
-        if want is not None:
-            assert failure_fields(sol.breakdown) == failure_fields(want)
+        assert want is None
+        steps = counted_steps(monkeypatch)
+        sol = solve_finite(model, term, N)
+        assert len(steps) < N + 1
+        assert sol.P[0].tobytes() != sol.P[1].tobytes()
         assert_stages_match(sol, stages, N)
 
 
