@@ -7,7 +7,6 @@ from .errors import (
     InvalidInput,
     InvalidState,
     MjlsError,
-    NotPsd,
     NotStabilizable,
     NumericalFailure,
     ObservabilityViolation,
@@ -20,9 +19,7 @@ from .model import (
     Policy,
     ValidationCheck,
     ValidationReport,
-    factor_state_weight,
     load_model,
-    mode_average,
     save_model,
     validate,
 )

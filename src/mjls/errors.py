@@ -11,10 +11,6 @@ class InvalidInput(MjlsError):
     """Malformed or dimensionally inconsistent input data."""
 
 
-class NotPsd(MjlsError):
-    """A matrix required to be positive semi-definite is indefinite."""
-
-
 class InvalidState(MjlsError):
     """An operation was called on an object that cannot support it."""
 

@@ -13,6 +13,11 @@ Per-mode data are read-only stacked arrays, ``A`` (L, n, n), ``B``
 (L, n, m), ``Q`` (L, n, n) and ``R`` (L, m, m), so solvers treat all modes
 at once; only the optional output factors ``C`` stay a per-mode list.
 
+The lifted second-moment map T(X)[j] = sum_i transition[i, j] Abar[i] X[i]
+Abar[i]' of a closed-loop stack and its adjoint T* are the kernel here:
+:func:`lifted_apply`, :func:`lifted_adjoint` and the dense
+:func:`lifted_matrix` (Costa, Fragoso & Marques 2005, ch. 3).
+
 Everything downstream (Riccati recursions, stability tests, simulation,
 brute-force verification) consumes a validated model.  Validation never
 raises; it returns a report listing each invariant with its measured
@@ -27,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import write_json
-from .errors import InvalidInput, NotPsd, NumericalFailure, \
-    PreconditionFailed
+from .errors import InvalidInput, NumericalFailure, PreconditionFailed
 
 __all__ = [
     "MjlsModel",
@@ -36,14 +40,12 @@ __all__ = [
     "ValidationCheck",
     "ValidationReport",
     "validate",
-    "mode_average",
-    "factor_state_weight",
     "load_model",
     "save_model",
 ]
 
-# Tolerances of validation (see ValidationReport), of factor_state_weight
-# (PSD_TOL) and of every positive definiteness test (PD_TOL, see pd_floor).
+# Tolerances of validation (see ValidationReport) and of every positive
+# definiteness test (PD_TOL, see pd_floor).
 ROW_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -348,19 +350,6 @@ class Policy:
     def from_stages(cls, staged_gains) -> "Policy":
         return cls(gains=staged_gains, staged=True)
 
-    @property
-    def horizon(self) -> int | None:
-        return len(self.gains) - 1 if self.staged else None
-
-    def gain(self, k: int, i: int) -> np.ndarray:
-        """Feedback gain applied at stage k in mode i."""
-        if self.staged:
-            if not 0 <= k < len(self.gains):
-                raise InvalidInput(
-                    f"stage {k} outside staged policy horizon {self.horizon}")
-            return self.gains[k, i]
-        return self.gains[i]
-
 
 def validate(model: MjlsModel) -> ValidationReport:
     """Check every model invariant and report measured residuals.
@@ -434,56 +423,37 @@ def validate(model: MjlsModel) -> ValidationReport:
     return ValidationReport(checks)
 
 
-def mode_average(P, i: int, transition) -> np.ndarray:
-    """Transition-weighted average sum_j transition[i, j] * P[j].
-
-    This is the conditional expectation of the next-stage matrix given that
-    the chain currently sits in mode ``i``, explicitly symmetrized;
-    :func:`coupled_average` forms it for every mode at once.
-    """
-    transition, mats = np.asarray(transition, dtype=float), _as_stack(P, "P")
-    L, n = mats.shape[:2]
-    if transition.shape != (L, L) or mats.shape != (L, n, n) or not 0 <= i < L:
-        raise InvalidInput(
-            f"cannot average {mats.shape} matrices in mode {i} "
-            f"under a {transition.shape} transition matrix")
-    return coupled_average(mats, transition[i:i + 1])[0]
-
-
 def coupled_average(P, transition) -> np.ndarray:
     """Stacked W[i] = sum_j transition[i, j] * P[j] over an (L, n, n) stack,
     symmetrized; one matrix product serves every row of ``transition``."""
     return sym((transition @ P.reshape(len(P), -1)).reshape(-1, *P.shape[1:]))
 
 
+def lifted_apply(abar, transition, X) -> np.ndarray:
+    """T(X)[j] = sum_i transition[i, j] abar[i] X[i] abar[i]' on (..., L, n,
+    n) stacks, leading axes batched; not symmetrized, so any X maps as
+    :func:`lifted_matrix` times its row-major vectorization."""
+    Y = (abar @ X @ abar.swapaxes(-1, -2)).swapaxes(0, -3)
+    Z = transition.T @ Y.reshape(len(transition), -1)
+    return Z.reshape(Y.shape).swapaxes(0, -3)
+
+
+def lifted_adjoint(abar, transition, X) -> np.ndarray:
+    """T*(X)[i] = abar[i]' (sum_j transition[i, j] X[j]) abar[i] on an
+    (L, n, n) stack, the average symmetrized (:func:`coupled_average`);
+    ``lifted_matrix(abar, transition).T`` is its dense matrix."""
+    return abar.swapaxes(-1, -2) @ coupled_average(X, transition) @ abar
+
+
 def lifted_matrix(abar, transition) -> np.ndarray:
-    """Dense second-moment operator of the closed-loop stack ``abar``, on
-    row-major vectorized moments stacked by mode: block (target mode j,
-    source mode i) is transition[i, j] * kron(abar[i], abar[i]).  Its
-    transpose maps X to the stack abar[i]' (sum_j transition[i, j] X[j])
-    abar[i]."""
+    """Dense matrix of :func:`lifted_apply` for the closed-loop stack
+    ``abar``, on row-major vectorized moments stacked by mode: block
+    (target mode j, source mode i) is transition[i, j] * kron(abar[i],
+    abar[i]).  Its transpose is the matrix of :func:`lifted_adjoint`."""
     L, n = abar.shape[:2]
     kron = np.einsum("iab,icd->iacbd", abar, abar).reshape(L, n * n, n * n)
     return np.einsum("ij,iab->jaib", transition, kron).reshape(
         L * n * n, L * n * n)
-
-
-def factor_state_weight(Q) -> np.ndarray:
-    """Factor a symmetric PSD matrix as Q = C'C.
-
-    Eigenvalues down to ``-PSD_TOL * max |eigenvalue|`` become zero;
-    anything more negative raises :class:`NotPsd`.
-    """
-    Q = _as_matrix(Q, "Q")
-    if Q.shape[0] != Q.shape[1]:
-        raise InvalidInput("Q must be square")
-    eigval, eigvec = np.linalg.eigh(sym(Q))
-    floor = -PSD_TOL * max(abs(float(eigval[0])), abs(float(eigval[-1])), 0.0)
-    if eigval[0] < floor:
-        raise NotPsd(
-            f"matrix is indefinite: min eigenvalue {eigval[0]:.3e}")
-    clamped = np.clip(eigval, 0.0, None)
-    return np.sqrt(clamped)[:, None] * eigvec.T
 
 
 def load_model(path) -> MjlsModel:

@@ -40,8 +40,8 @@ raising the failure the stage-by-stage checks would have met first.  Rounding
 often brings the sweep to a fixed point or a short cycle, a P(k) equal bit for
 bit to some P(k + p); the step reads only P(k+1), so every stage below k
 repeats that cycle exactly, and the sweep stops there and copies it.  The
-Lyapunov equation is one dense solve of size L n^2, after one dense ``eigvals``
-of the same size certifies the gain.  Only numpy is needed.
+Lyapunov equation, X = T*(X) + Q + K'RK (:func:`mjls.model.lifted_adjoint`),
+is one dense solve of size L n^2 after one dense ``eigvals`` certifies K.
 """
 
 from __future__ import annotations

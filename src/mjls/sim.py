@@ -58,9 +58,13 @@ def _inverse_cdf(transition, pi0, uniforms):
 
 
 def require_seed(seed):
-    """Reject a negative integer seed, which numpy takes for a ValueError."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidInput(f"seed must be nonnegative, got {seed}")
+    """Raise :class:`InvalidInput` for a seed ``default_rng`` rejects: its
+    ``SeedSequence`` takes only nonnegative ints and sequences of them."""
+    try:
+        np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput("seed must be nonnegative int(s) or a "
+                           f"SeedSequence, got {seed!r}") from exc
 
 
 def sample_markov_chain(transition, initial_distribution, N: int, seed):
@@ -88,8 +92,11 @@ def _sample_trials(model, first, trials, seed, N):
     Trial t reads draws t(N+2) .. (t+1)(N+2) - 1 of ``default_rng(seed)``;
     the stream is advanced past the trials before ``first``, so any split
     into spans gives the rows of the whole block bitwise.  A Generator
-    ``seed`` raises TypeError: its state would carry over between spans.
+    ``seed`` raises InvalidInput: its state would carry over between spans.
     """
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise InvalidInput("trials take an int or SeedSequence seed, not a "
+                           "Generator")
     rng = np.random.Generator(np.random.PCG64(seed))
     rng.bit_generator.advance(first * (N + 2))
     return _inverse_cdf(model.transition, model.initial_distribution,

@@ -10,12 +10,12 @@ a linear map on the stacked vectorized moments whose spectral radius below
 one is equivalent to E||x(k)||^2 -> 0 for every initial state and mode.  The
 same recursion run forward gives exact (sampling-free) second moments.
 
-On the stacked (L, n, n) arrays of :mod:`mjls.model` each moment stage and
-Gramian step is one batched product.  :func:`is_mss` takes dense eigenvalues
-of the lifted matrix when L n^2 <= ``DENSE_LIMIT``; above that, block power
-iteration applies the map above to blocks of moment stacks directly, never
-forming the matrix (Costa, Fragoso & Marques, Discrete-Time Markov Jump
-Linear Systems, 2005, ch. 3).
+The map is :func:`mjls.model.lifted_apply` (its adjoint steps the
+observability Gramian).  :func:`is_mss` takes dense eigenvalues of
+``lifted_matrix`` when L n^2 <= ``DENSE_LIMIT``; above that, block power
+iteration applies the map to blocks of moment stacks, never forming the
+matrix (Costa, Fragoso & Marques, Discrete-Time Markov Jump Linear Systems,
+2005, ch. 3).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 from .artifacts import Template, blocked_reprs
 from .errors import InvalidInput, NotStabilizable, NumericalFailure, \
     PreconditionFailed
-from .model import DENSE_LIMIT, MjlsModel, Policy, coupled_average, \
-    lifted_matrix, pd_floor, require_finite, sym
+from .model import DENSE_LIMIT, MjlsModel, Policy, lifted_adjoint, \
+    lifted_apply, lifted_matrix, pd_floor, require_finite, sym
 from .riccati import solve_care
 
 __all__ = [
@@ -107,8 +107,7 @@ def is_mss(model: MjlsModel, policy: Policy | None = None):
     require_finite(rows, "lifted second-moment operator")
     size = L * n * n
     if size <= DENSE_LIMIT:
-        radius = float(np.max(np.abs(np.linalg.eigvals(
-            lifted_matrix(abar, lam))), initial=0.0))
+        radius = spectral_radius(lifted_matrix(abar, lam))
         return radius < 1.0 - MSS_MARGIN, radius
     fro = float(np.hypot.reduce(rows))
     rng = np.random.default_rng(0x5eed)
@@ -117,9 +116,8 @@ def is_mss(model: MjlsModel, policy: Policy | None = None):
         previous = np.inf
         for _ in range(RADIUS_MAX_ITER):
             # Columns of V are row-major vectorized moment stacks X[i].
-            Y = abar @ V.T.reshape(block, L, n, n) @ abar.transpose(0, 2, 1)
-            Z = lam.T @ Y.transpose(1, 0, 2, 3).reshape(L, -1)
-            W = Z.reshape(L, block, n * n).transpose(0, 2, 1).reshape(V.shape)
+            W = lifted_apply(abar, lam, V.T.reshape(block, L, n, n)).reshape(
+                block, size).T
             H = V.T @ W
             radius = float(np.max(np.abs(np.linalg.eigvals(H))))
             # A map that sends V to zero has H = 0 and so radius 0.0.
@@ -178,8 +176,7 @@ def propagate_second_moment(model: MjlsModel, policy: Policy | None,
     mass[0] = model.initial_distribution
     # X[k+1][j] = sum_i transition[i, j] Abar[i] X[k][i] Abar[i]'
     for k in range(steps):
-        X[k + 1] = coupled_average(
-            abar[k] @ X[k] @ abar[k].transpose(0, 2, 1), lam.T)
+        X[k + 1] = sym(lifted_apply(abar[k], lam, X[k]))
         require_finite(X[k + 1], f"second moment at step {k + 1}")
         mass[k + 1] = mass[k] @ lam
     return SecondMomentChain(X=X, mode_mass=mass)
@@ -206,8 +203,7 @@ def observability_gramian(model: MjlsModel, horizon: int) -> np.ndarray:
     S = model.A / scale[:, None, None]
     G = model.Q
     for step in range(1, horizon + 1):
-        G = sym(model.Q + S.transpose(0, 2, 1)
-                @ coupled_average(G, model.transition) @ S)
+        G = sym(model.Q + lifted_adjoint(S, model.transition, G))
         require_finite(G, f"observability Gramian at step {step}")
     return G
 

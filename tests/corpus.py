@@ -155,7 +155,8 @@ def roll_single_path(model, policy, path, terminal):
     for k in range(N + 1):
         i = path[k]
         if policy is not None:
-            u[k] = policy.gain(k, i) @ x[k]
+            u[k] = (policy.gains[k, i] if policy.staged
+                    else policy.gains[i]) @ x[k]
         cost += float(x[k] @ model.Q[i] @ x[k] + u[k] @ model.R[i] @ u[k])
         x[k + 1] = model.A[i] @ x[k] + model.B[i] @ u[k]
     if terminal is not None:

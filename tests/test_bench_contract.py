@@ -12,8 +12,9 @@ and check every name it uses against the package.
 runs each workload's warm-up jobs through ``mjls.cli.main`` and checks
 their artifacts with ``checks.py``.  An import that fails there, or a check
 that raises anything but its own verdicts, ends the run with no result.
-The last tests replay both steps, with the benchmark's modules imported
-from its directory and no file written there.
+The last tests replay both steps, and then every job of one round of each
+workload, with the benchmark's modules imported from its directory and no
+file written there.
 """
 
 import contextlib
@@ -109,19 +110,15 @@ WARM_UP = {"design": ("solve-finite", "solve-care", "check"),
            "rollouts": ("simulate", "verify")}
 
 
-@pytest.mark.parametrize("workload, command", [
-    (workload, command) for workload, commands in WARM_UP.items()
-    for command in commands])
-def test_warm_up_job_passes_the_benchmark_check(workload, command,
-                                                tmp_path):
+def run_checked(made, job, tmp_path, refs):
+    """Run ``job`` of workload ``made`` through ``mjls.cli.main`` and check
+    it as run.py does; a known fault fails like wrong output."""
     checks = bench_module("checks")
-    made, first = warm_up(workload)
-    assert tuple(first) == WARM_UP[workload]
-    job = first[command]
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(made.models[job.model].to_json()),
-                     encoding="utf-8")
-    out = tmp_path / "out"
+    model = tmp_path / f"{job.model}.json"
+    if not model.exists():
+        model.write_text(json.dumps(made.models[job.model].to_json()),
+                         encoding="utf-8")
+    out = tmp_path / job.name.replace("/", "-")
     captured = io.StringIO()
     with contextlib.redirect_stdout(captured), \
             contextlib.redirect_stderr(captured):
@@ -130,5 +127,31 @@ def test_warm_up_job_passes_the_benchmark_check(workload, command,
                                 "--out", str(out), *job.args])
         except SystemExit as exc:
             rc = exc.code
-    checks.CHECKS[command](job, rc, captured.getvalue(), out,
-                           checks.References(made.models[job.model]))
+    try:
+        checks.CHECKS[job.command](job, rc, captured.getvalue(), out, refs)
+    except (checks.KnownFault, checks.WrongOutput) as exc:
+        pytest.fail(f"{job.name}: {type(exc).__name__}: {exc}")
+
+
+@pytest.mark.parametrize("workload, command", [
+    (workload, command) for workload, commands in WARM_UP.items()
+    for command in commands])
+def test_warm_up_job_passes_the_benchmark_check(workload, command,
+                                                tmp_path):
+    made, first = warm_up(workload)
+    assert tuple(first) == WARM_UP[workload]
+    job = first[command]
+    run_checked(made, job, tmp_path,
+                bench_module("checks").References(made.models[job.model]))
+
+
+@pytest.mark.parametrize("workload", WARM_UP)
+def test_round_passes_the_benchmark_check(workload, tmp_path):
+    # Every job of one round at REPLAY_SEED, references shared per model
+    # as in run.py.
+    checks = bench_module("checks")
+    made, _ = warm_up(workload)
+    refs = {key: checks.References(model)
+            for key, model in made.models.items()}
+    for job in made.jobs:
+        run_checked(made, job, tmp_path, refs[job.model])

@@ -118,11 +118,25 @@ SEEDED = {
 }
 
 
-@pytest.mark.parametrize("seed", [-1, np.int64(-7), -2 ** 70])
+@pytest.mark.parametrize("seed", [-1, np.int64(-7), -2 ** 70, [-1, 3]])
 @pytest.mark.parametrize("name", SEEDED)
 def test_negative_seed_rejected(name, seed):
     with pytest.raises(InvalidInput, match="seed must be nonnegative"):
         SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3"],
+                         ids=["float", "float64", "str"])
+@pytest.mark.parametrize("name", SEEDED)
+def test_non_integer_seed_rejected(name, seed):
+    with pytest.raises(InvalidInput, match="seed must be"):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", ["simulate_trials", "monte_carlo_cost"])
+def test_generator_seed_rejected_by_batched_trials(name):
+    with pytest.raises(InvalidInput, match="not a Generator"):
+        SEEDED[name](np.random.default_rng(5))
 
 
 @pytest.mark.parametrize("name", SEEDED)

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mjls import (
     InvalidInput,
     MjlsModel,
-    NotPsd,
     Policy,
-    factor_state_weight,
     load_model,
-    mode_average,
     save_model,
     validate,
 )
+from mjls.model import coupled_average, lifted_adjoint, lifted_apply, \
+    lifted_matrix
 
 from conftest import scalar_model
 
@@ -95,26 +96,22 @@ class TestValidate:
 
 
 class TestModeAverage:
+    """coupled_average, the transition-weighted mode average E."""
+
     def test_degenerate_row_returns_first(self):
-        P = [np.diag([1.0, 2.0]), np.diag([5.0, 7.0])]
-        out = mode_average(P, 0, [[1.0, 0.0], [0.5, 0.5]])
-        assert np.array_equal(out, P[0])
+        P = np.array([np.diag([1.0, 2.0]), np.diag([5.0, 7.0])])
+        out = coupled_average(P, np.array([[1.0, 0.0], [0.5, 0.5]]))
+        assert np.array_equal(out[0], P[0])
 
     def test_convex_combination_of_scaled_identities(self):
-        P = [np.eye(2), 3.0 * np.eye(2)]
-        out = mode_average(P, 0, [[0.5, 0.5], [0.5, 0.5]])
+        P = np.array([np.eye(2), 3.0 * np.eye(2)])
+        out = coupled_average(P, np.full((2, 2), 0.5))
         assert np.allclose(out, 2.0 * np.eye(2))
 
     def test_identical_summands(self):
-        P = [np.eye(2), np.eye(2)]
-        out = mode_average(P, 0, [[0.9, 0.1], [0.7, 0.3]])
+        P = np.array([np.eye(2), np.eye(2)])
+        out = coupled_average(P, np.array([[0.9, 0.1], [0.7, 0.3]]))
         assert np.allclose(out, np.eye(2))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInput):
-            mode_average([np.eye(2)], 0, [[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(InvalidInput):
-            mode_average([np.eye(2), np.eye(3)], 0, np.eye(2))
 
     def test_linearity_and_psd_preservation(self):
         rng = np.random.default_rng(3)
@@ -123,73 +120,95 @@ class TestModeAverage:
             n = int(rng.integers(1, 4))
             lam = rng.uniform(0.0, 1.0, (L, L))
             lam /= lam.sum(axis=1, keepdims=True)
-            def psd():
-                G = rng.uniform(-1.0, 1.0, (n, n))
-                return G.T @ G
-            P1 = [psd() for _ in range(L)]
-            P2 = [psd() for _ in range(L)]
+            G1 = rng.uniform(-1.0, 1.0, (L, n, n))
+            G2 = rng.uniform(-1.0, 1.0, (L, n, n))
+            P1 = G1.transpose(0, 2, 1) @ G1
+            P2 = G2.transpose(0, 2, 1) @ G2
             a, b = rng.uniform(-2.0, 2.0, 2)
-            i = int(rng.integers(L))
-            combined = mode_average(
-                [a * p + b * q for p, q in zip(P1, P2)], i, lam)
-            split = a * mode_average(P1, i, lam) + b * mode_average(P2, i, lam)
+            combined = coupled_average(a * P1 + b * P2, lam)
+            split = a * coupled_average(P1, lam) + b * coupled_average(P2, lam)
             assert np.allclose(combined, split, atol=1e-12)
-            out = mode_average(P1, i, lam)
-            assert np.array_equal(out, out.T)
-            assert np.linalg.eigvalsh(out)[0] >= -1e-12
+            out = coupled_average(P1, lam)
+            assert np.array_equal(out, out.transpose(0, 2, 1))
+            assert np.linalg.eigvalsh(out)[:, 0].min() >= -1e-12
 
     def test_output_exactly_symmetric(self):
-        asym = np.array([[1.0, 0.3], [0.3 + 1e-13, 2.0]])
-        out = mode_average([asym], 0, [[1.0]])
-        assert np.array_equal(out, out.T)
+        asym = np.array([[[1.0, 0.3], [0.3 + 1e-13, 2.0]]])
+        out = coupled_average(asym, np.array([[1.0]]))
+        assert np.array_equal(out[0], out[0].T)
 
 
-class TestFactorStateWeight:
-    def test_zero(self):
-        assert np.allclose(factor_state_weight(np.zeros((2, 2))), 0.0)
+def lifted_case(L, n, batch, seed):
+    """A closed-loop stack, a row-stochastic chain and a (batch, L, n, n)
+    stack of unsymmetric moments."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 1.0, (L, L)) * (rng.random((L, L)) < 0.8)
+    lam[np.arange(L), rng.integers(L, size=L)] += 0.5
+    lam /= lam.sum(axis=1, keepdims=True)
+    return (rng.uniform(-1.5, 1.5, (L, n, n)), lam,
+            rng.uniform(-1.0, 1.0, (batch, L, n, n)))
 
-    def test_identity(self):
-        C = factor_state_weight(np.eye(3))
-        assert np.allclose(C.T @ C, np.eye(3))
 
-    def test_diagonal(self):
-        Q = np.diag([4.0, 1.0])
-        C = factor_state_weight(Q)
-        assert np.allclose(C.T @ C, Q, atol=1e-12)
+def assert_near(actual, expected, tol=1e-12):
+    scale = 1.0 + np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= tol * scale
 
-    def test_roundtrip_on_random_psd(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            n = int(rng.integers(1, 5))
-            G = rng.standard_normal((n, n))
-            Q = G.T @ G
-            C = factor_state_weight(Q)
-            err = np.linalg.norm(C.T @ C - Q, "fro")
-            assert err <= 1e-10 * (1.0 + np.linalg.norm(Q, "fro"))
 
-    def test_indefinite_rejected(self):
-        with pytest.raises(NotPsd):
-            factor_state_weight(np.diag([1.0, -0.5]))
+# L <= 4 modes, n <= 3 states, up to 3 batch rows, any seed.
+LIFTED_CASES = (st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+                st.integers(0, 2 ** 32 - 1))
 
-    def test_tiny_negative_eigenvalue_clamped(self):
-        Q = np.diag([1.0, -1e-14])
-        C = factor_state_weight(Q)
-        assert np.linalg.eigvalsh(C.T @ C)[0] >= 0.0
+
+class TestLiftedKernel:
+    """lifted_apply and lifted_adjoint against the dense lifted matrix."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(*LIFTED_CASES)
+    def test_apply_is_the_dense_matrix(self, L, n, batch, seed):
+        abar, lam, X = lifted_case(L, n, batch, seed)
+        dense = lifted_matrix(abar, lam) @ X[0].reshape(-1)
+        assert_near(lifted_apply(abar, lam, X[0]), dense.reshape(L, n, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(*LIFTED_CASES)
+    def test_batched_apply_equals_row_by_row(self, L, n, batch, seed):
+        abar, lam, X = lifted_case(L, n, batch, seed)
+        rows = np.stack([lifted_apply(abar, lam, x) for x in X])
+        assert lifted_apply(abar, lam, X).shape == X.shape
+        assert_near(lifted_apply(abar, lam, X), rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(*LIFTED_CASES)
+    def test_adjoint_is_the_transposed_matrix(self, L, n, batch, seed):
+        abar, lam, X = lifted_case(L, n, batch, seed)
+        dense = (lifted_matrix(abar, lam).T @ X[0].reshape(-1)).reshape(
+            L, n, n)
+        assert_near(lifted_adjoint(abar, lam, X[0]),
+                    0.5 * (dense + dense.transpose(0, 2, 1)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(*LIFTED_CASES)
+    def test_adjoint_pairing(self, L, n, batch, seed):
+        abar, lam, X = lifted_case(L, n, batch, seed)
+        Y = X[-1] + X[-1].transpose(0, 2, 1)
+        TX = lifted_apply(abar, lam, X[0])
+        left, right = np.sum(TX * Y), np.sum(X[0] * lifted_adjoint(abar,
+                                                                     lam, Y))
+        assert abs(left - right) <= 1e-12 * (1.0 + np.sum(np.abs(TX * Y)))
 
 
 class TestPolicy:
     def test_stationary_gain_lookup(self):
         policy = Policy.stationary([np.array([[1.0, 2.0]]),
                                     np.array([[3.0, 4.0]])])
-        assert np.array_equal(policy.gain(17, 1), [[3.0, 4.0]])
+        assert not policy.staged and policy.gains.shape == (2, 1, 2)
+        assert np.array_equal(policy.gains[1], [[3.0, 4.0]])
 
     def test_staged_gain_lookup_and_horizon(self):
         stages = [[np.zeros((1, 2))], [np.ones((1, 2))]]
         policy = Policy.from_stages(stages)
-        assert policy.horizon == 1
-        assert np.array_equal(policy.gain(1, 0), np.ones((1, 2)))
-        with pytest.raises(InvalidInput):
-            policy.gain(2, 0)
+        assert policy.staged and policy.gains.shape == (2, 1, 1, 2)
+        assert np.array_equal(policy.gains[1, 0], np.ones((1, 2)))
 
     def test_nonfinite_gains_rejected(self):
         with pytest.raises(InvalidInput):

@@ -222,7 +222,7 @@ class TestOneStream:
 
     def test_generator_seed_rejected(self, bench):
         # A stateful seed would make each chunk start where the last ended.
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidInput, match="not a Generator"):
             monte_carlo_cost(bench, None, 10, np.random.default_rng(3), 4,
                              workers=2)
 

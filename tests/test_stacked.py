@@ -157,8 +157,9 @@ def test_second_moments_match_literal_loop(corpus):
             steps = 13 if policy is not None and policy.staged else 30
             chain = propagate_second_moment(model, policy, steps)
             literal = literal_moments(
-                model, (lambda k, i: None) if policy is None
-                else policy.gain, steps)
+                model, lambda k, i: None if policy is None
+                else policy.gains[k, i] if policy.staged
+                else policy.gains[i], steps)
             for k in range(steps + 1):
                 assert_close(chain.X[k], literal[k])
 
@@ -168,7 +169,7 @@ def test_lifted_operator_matches_literal_kron_blocks(corpus):
     for model in corpus:
         for policy in (None, random_stationary_policy(rng, model)):
             abar = [model.A[i] if policy is None
-                    else model.A[i] + model.B[i] @ policy.gain(0, i)
+                    else model.A[i] + model.B[i] @ policy.gains[i]
                     for i in range(model.mode_count)]
             assert_close(closed_loop_matrices(model, policy), abar)
             T = literal_lifted_operator(abar, model.transition)
