@@ -28,11 +28,11 @@ format string on every call.
 joins each list of floats in one C-level call instead of going through the
 pure-Python encoder that ``json`` falls back to whenever ``indent`` is set.
 A float64 ``ndarray`` anywhere in ``obj`` is written as ``json.dump`` would
-write its ``.tolist()``, and so is a list of them; arrays of other dtypes
-raise TypeError, as in ``json``.  Their floats go a block of rows or of
-equal-shaped arrays at a time through :func:`float_reprs` and a template
-cached per (rows, shape, indentation).  It writes one container element or
-block at a time, so the document is never held whole in memory.
+write its ``.tolist()``; arrays of other dtypes raise TypeError, as in
+``json``.  Its floats go a block of rows at a time through
+:func:`float_reprs` and a template cached per (rows, shape, indentation).
+It writes one container element or block at a time, so the document is
+never held whole in memory.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import math
 from functools import lru_cache
-from itertools import groupby
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 
@@ -177,10 +176,6 @@ def _non_finite(text: str) -> str:
     return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
-def _is_float_array(value) -> bool:
-    return isinstance(value, np.ndarray) and value.dtype == np.float64
-
-
 @lru_cache(maxsize=64)
 def _rows_template(count: int, shape: tuple, indent: str,
                    first: bool) -> Template:
@@ -206,22 +201,19 @@ def _rows_template(count: int, shape: tuple, indent: str,
     return Template(rows(count, shape, indent, first))
 
 
-def _float_list(groups, indent: str):
-    """The encoding, in pieces, of a JSON list at the line ``indent`` whose
-    entries are float arrays.  ``groups`` holds ``(shape, arrays)`` pairs,
-    ``arrays`` being float arrays of ``shape`` in a list, or the rows of
-    one array.  A block of about ``BLOCK_FLOATS`` floats of one group goes
-    through one :func:`float_reprs` call and one template."""
-    first = True
-    for shape, arrays in groups:
-        step = max(1, BLOCK_FLOATS // max(1, math.prod(shape)))
-        for lo in range(0, len(arrays), step):
-            block = arrays[lo:lo + step]
-            text = _rows_template(len(block), shape, indent, first).render(
-                float_reprs(block))
-            # Templates hold no letters: an "n" comes from NaN or infinity.
-            yield _non_finite(text) if "n" in text else text
-            first = False
+def _float_list(array, indent: str):
+    """The encoding, in pieces, of a nonempty float ``array`` of one or
+    more dimensions at the line ``indent``.  A block of rows of about
+    ``BLOCK_FLOATS`` floats goes through one :func:`float_reprs` call and
+    one template."""
+    shape = array.shape[1:]
+    step = max(1, BLOCK_FLOATS // max(1, math.prod(shape)))
+    for lo in range(0, len(array), step):
+        block = array[lo:lo + step]
+        text = _rows_template(len(block), shape, indent, not lo).render(
+            float_reprs(block))
+        # Templates hold no letters: an "n" comes from NaN or infinity.
+        yield _non_finite(text) if "n" in text else text
     yield indent + "]"
 
 
@@ -232,24 +224,19 @@ def _chunks(value, indent: str):
         yield encode_basestring_ascii(value)
     elif isinstance(value, float):
         yield _float(value)
-    elif _is_float_array(value):
+    elif isinstance(value, np.ndarray) and value.dtype == np.float64:
         if not value.ndim:
             yield _float(float(value))
         elif not len(value):
             yield "[]"
         else:
-            yield from _float_list([(value.shape[1:], value)], indent)
+            yield from _float_list(value, indent)
     elif isinstance(value, (list, tuple)):
         if not value:
             yield "[]"
             return
         inner = indent + _INDENT
         sep = "["
-        if all(map(_is_float_array, value)):
-            yield from _float_list(
-                ((shape, list(arrays))
-                 for shape, arrays in groupby(value, key=np.shape)), indent)
-            return
         try:
             text = ("," + inner).join(map(float.__repr__, value))
         except TypeError:

@@ -142,14 +142,14 @@ def _require_horizon(args, default=None) -> int:
     return horizon
 
 
-def _terminal_matrices(spec: str, model: MjlsModel) -> list:
-    """The terminal weights that ``--terminal`` names; the solver checks
-    them (:meth:`~mjls.model.MjlsModel.terminal_weights`)."""
-    n, L = model.state_dim, model.mode_count
+def _terminal_matrices(spec: str, model: MjlsModel):
+    """The terminal weights that ``--terminal`` names, an (L, n, n) stack
+    or the JSON data of a file; the solver checks them
+    (:meth:`~mjls.model.MjlsModel.terminal_weights`)."""
     if spec == "zero":
-        return [np.zeros((n, n)) for _ in range(L)]
+        return np.zeros(model.A.shape)
     if spec == "identity":
-        return [np.eye(n) for _ in range(L)]
+        return np.tile(np.eye(model.state_dim), (model.mode_count, 1, 1))
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -186,8 +186,8 @@ def cmd_solve_finite(args) -> int:
         "mode_count": model.mode_count,
         "state_dim": model.state_dim,
         "input_dim": model.input_dim,
-        "gains": list(sol.K),
-        "upsilon_min_eigenvalues": list(sol.upsilon_min_eig),
+        "gains": sol.K,
+        "upsilon_min_eigenvalues": sol.upsilon_min_eig,
     }, out / "gains.json")
     print(f"solvable over {N + 1} stages; optimal cost {cost!r}")
     return 0
@@ -212,7 +212,7 @@ def cmd_solve_care(args) -> int:
         "residual": sol.residual,
         "P": sol.P,
         "gains": sol.K,
-        "P_min_eigenvalues": sol.p_min_eig.tolist(),
+        "P_min_eigenvalues": sol.p_min_eig,
         "closed_loop_spectral_radius": radius,
         "closed_loop_mean_square_stable": stable,
         "optimal_cost": float(

@@ -314,9 +314,8 @@ def _perturbed_gains(sol, count, scale, seed):
     """``count`` copies of the optimal staged gains, every entry perturbed
     uniformly within ``scale``; the draws run copy by copy, stage by stage,
     mode by mode."""
-    gains = sol.policy().gains
     rng = np.random.default_rng(seed)
-    return gains + rng.uniform(-scale, scale, size=(count,) + gains.shape)
+    return sol.K + rng.uniform(-scale, scale, size=(count,) + sol.K.shape)
 
 
 def perturbation_optimality(model: MjlsModel, sol: FiniteHorizonSolution,
@@ -368,7 +367,7 @@ def verification_report(model: MjlsModel, N: int, terminal, *,
     # The solver checked the terminal weights and made the gains.
     terminal = sol.P[N + 1]
     ensemble, levels, eta = _costate_pass(
-        model, enumerate_paths(model, N), sol.policy().gains[None], terminal)
+        model, enumerate_paths(model, N), sol.K[None], terminal)
     cost, excess = _tally(ensemble, levels, sol)
     enumerated = float(cost[0])
     record("optimal cost equals enumerated cost",
@@ -385,7 +384,7 @@ def verification_report(model: MjlsModel, N: int, terminal, *,
     record("cost decomposition at the optimum",
            gap / (1.0 + abs(lhs)), REL_TOL)
 
-    shape = sol.policy().gains.shape
+    shape = sol.K.shape
     random_gains = np.random.default_rng(seed).uniform(-1.0, 1.0, shape[1:])
     gains = np.concatenate([
         np.broadcast_to(random_gains, (1,) + shape),

@@ -40,6 +40,8 @@ raising the failure the stage-by-stage checks would have met first.  Rounding
 often brings the sweep to a fixed point or a short cycle, a P(k) equal bit for
 bit to some P(k + p); the step reads only P(k+1), so every stage below k
 repeats that cycle exactly, and the sweep stops there and copies it.  The
+solution is the (stages, L, ., .) stacks of P, Upsilon and K that the sweep
+fills, NaN at and below a recorded breakdown; M is not kept.  The
 Lyapunov equation, X = T*(X) + Q + K'RK (:func:`mjls.model.lifted_adjoint`),
 is one dense solve of size L n^2 after one dense ``eigvals`` certifies K.
 """
@@ -174,21 +176,21 @@ def cdre_step(P_next, model: MjlsModel, stage=None):
 
 @dataclass(eq=False)
 class FiniteHorizonSolution:
-    """Backward-recursion output over stages k = 0..N.
+    """Backward-recursion output over stages k = 0..N, as the read-only
+    stacks :func:`solve_finite` fills.
 
-    ``P[k]`` is the read-only (L, n, n) stack of stage k = 0..N+1
-    (``P[N+1]`` is the terminal weight); the (L, m, m) ``Upsilon``, (L, m, n)
-    ``M`` and ``K`` stacks and the (L,) ``upsilon_min_eig`` run over
-    k = 0..N.  When the recursion breaks down at some stage, entries below
-    that stage are ``None`` and ``solvable`` is False.
+    ``P`` is (N+2, L, n, n), ``P[N+1]`` being the terminal weight;
+    ``Upsilon`` (N+1, L, m, m), ``K`` (N+1, L, m, n) and
+    ``upsilon_min_eig`` (N+1, L) run over k = 0..N.  When the recursion
+    breaks down, ``solvable`` is False, ``breakdown`` records the stage,
+    and every stage at and below it holds NaN.
     """
 
     horizon: int
-    P: list
-    Upsilon: list
-    M: list
-    K: list
-    upsilon_min_eig: list
+    P: np.ndarray
+    Upsilon: np.ndarray
+    K: np.ndarray
+    upsilon_min_eig: np.ndarray
     solvable: bool
     breakdown: RiccatiBreakdown | None = None
 
@@ -211,7 +213,7 @@ def solve_finite(model: MjlsModel, terminal, N: int,
     checked at once: the first failure from stage N down, never in a copy,
     is raised as :func:`cdre_step` raises it.  With
     ``raise_on_breakdown=False`` a breakdown is recorded on the returned
-    solution instead of raised, and the stages at and below it are None.
+    solution instead of raised, and the stages at and below it hold NaN.
     """
     model.ensure_valid()
     if N < 0:
@@ -220,8 +222,7 @@ def solve_finite(model: MjlsModel, terminal, N: int,
     L, n, m = model.mode_count, model.state_dim, model.input_dim
     P = np.empty((N + 2, L, n, n))
     ups = np.empty((N + 1, L, m, m))
-    M = np.empty((N + 1, L, m, n))
-    K = np.empty_like(M)
+    K = np.empty((N + 1, L, m, n))
     P[N + 1] = sym(term)
     # One sweep without checks, to stage 0 or to a repeated P.  ``seen``
     # keys the last stage by P's first 32 entries, as cheap at any size; a
@@ -235,12 +236,11 @@ def solve_finite(model: MjlsModel, terminal, N: int,
             if j and flat[j].tobytes() == flat[k + 1].tobytes():
                 stop, period = k + 1, j - k - 1
                 break
-            P[k], ups[k], M[k], K[k], solved = _riccati_step(P[k + 1], model)
+            P[k], ups[k], _, K[k], solved = _riccati_step(P[k + 1], model)
             if not solved:
                 # Stage k fails its checks, so no stage below is read.
-                P[:k] = ups[:k] = M[:k] = K[:k] = np.nan
+                P[:k] = ups[:k] = K[:k] = np.nan
                 break
-    top = 0
     breakdown = None
     try:
         eigs = _check_stages(ups[stop:], P[stop:N + 1], range(stop, N + 1))
@@ -248,20 +248,17 @@ def solve_finite(model: MjlsModel, terminal, N: int,
         if raise_on_breakdown:
             raise
         breakdown, top = exc, exc.stage + 1
+        P[:top] = ups[:top] = K[:top] = np.nan
         eigs = np.full((N + 1, L), np.nan)
         eigs[top:] = pd_floor(ups[top:])[0]
     if period and breakdown is None:
         fill = stop + (np.arange(stop) - stop) % period
         eigs = np.concatenate([eigs[fill - stop], eigs])
-        for stack in (P, ups, M, K):
+        for stack in (P, ups, K):
             stack[:stop] = stack[fill]
-    _frozen(P, ups, M, K, eigs)
-    below = [None] * top
-    return FiniteHorizonSolution(
-        horizon=N, P=below + list(P[top:]), Upsilon=below + list(ups[top:]),
-        M=below + list(M[top:]), K=below + list(K[top:]),
-        upsilon_min_eig=below + list(eigs[top:]),
-        solvable=breakdown is None, breakdown=breakdown)
+    return FiniteHorizonSolution(N, *_frozen(P, ups, K, eigs),
+                                 solvable=breakdown is None,
+                                 breakdown=breakdown)
 
 
 def optimal_cost_finite(sol: FiniteHorizonSolution, model: MjlsModel) -> float:
@@ -275,7 +272,7 @@ def optimal_cost_finite(sol: FiniteHorizonSolution, model: MjlsModel) -> float:
 class CareSolution:
     """Fixed point of the coupled algebraic Riccati equation.
 
-    ``P``, ``Upsilon``, ``M`` and ``K`` are read-only (L, ., .) stacks;
+    ``P``, ``Upsilon`` and ``K`` are read-only (L, ., .) stacks;
     ``K[i]`` is the stationary feedback gain u = K[i] x; the (L,)
     ``p_min_eig`` certifies positive definiteness of each P[i].
     ``iterations`` counts every step, the ``value_iterations`` that applied
@@ -285,7 +282,6 @@ class CareSolution:
 
     P: np.ndarray
     Upsilon: np.ndarray
-    M: np.ndarray
     K: np.ndarray
     p_min_eig: np.ndarray
     iterations: int
@@ -399,7 +395,7 @@ def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,
             reason="budget", iterations=max_iter)
 
     # One step at the fixed point: its residual and stationary coefficients.
-    stepped, Upsilon, M, K, _ = cdre_step(P, model)
+    stepped, Upsilon, _, K, _ = cdre_step(P, model)
     residual = _relative_change(stepped, P)
     if residual > RESIDUAL_TOL:
         raise NumericalFailure(
@@ -412,7 +408,7 @@ def solve_care(model: MjlsModel, tol: float = 1e-10, max_iter: int = 10000,
             f"fixed point P[{i}] is not positive definite "
             f"(min eigenvalue {p_eigs[i]:.3e}); the state weights likely "
             "fail exact observability")
-    return CareSolution(*_frozen(P, Upsilon, M, K, p_eigs),
+    return CareSolution(*_frozen(P, Upsilon, K, p_eigs),
                         iterations=iteration, final_increment=increment,
                         residual=residual,
                         value_iterations=iteration - newton_steps,
@@ -477,22 +473,22 @@ def write_riccati_csv(sol: FiniteHorizonSolution, path):
     all bitwise symmetric formats only their upper triangles.  Each stage
     is spliced into its cached :class:`~mjls.artifacts.Template`.
     """
-    L, n = sol.P[-1].shape[:2]
-    m = sol.K[0].shape[1] if sol.solvable else 0
+    L, m, n = sol.K.shape[1:]
+    # Above a breakdown, only the P stages are written.
+    first, m = (0, m) if sol.solvable else (sol.breakdown.stage + 1, 0)
     upper = np.triu_indices(n)
-    first = next(k for k, P_k in enumerate(sol.P) if P_k is not None)
     step = max(1, artifacts.BLOCK_FLOATS // (L * (len(upper[0]) + m * n)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("k,mode,row,col,P,gain_row,gain_col,K\r\n")
         for lo in range(first, len(sol.P), step):
-            P = np.asarray(sol.P[lo:lo + step], dtype=float)
+            P = sol.P[lo:lo + step]
             bits = P.view(np.uint64)
             mirror = np.array_equal(bits, bits.swapaxes(2, 3))
             P = (P[:, :, upper[0], upper[1]] if mirror else P).reshape(
                 len(P), -1)
             # Gains run to stage N; the terminal stage N + 1 has none.
-            K = np.asarray(sol.K[lo:lo + step], dtype=float).reshape(
-                -1, L * m * n) if m else np.empty((0, 0))
+            K = sol.K[lo:lo + step].reshape(-1, L * m * n) if m \
+                else np.empty((0, 0))
             # A cold cache builds the templates before the block's strings.
             with_gains = _stage_template(L, n, m, mirror)
             last = _stage_template(L, n, 0, mirror) if len(K) < len(P) \

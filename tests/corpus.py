@@ -415,15 +415,15 @@ def literal_trajectory_csv(trajectories, path, model):
 
 def literal_riccati_csv(sol, path):
     """``riccati.csv`` through ``csv.writer``, one matrix entry at a time."""
-    n = sol.P[-1].shape[1]
-    m = sol.K[0].shape[1] if sol.solvable else 0
+    n = sol.P.shape[2]
+    m = sol.K.shape[2] if sol.solvable else 0
+    first = 0 if sol.solvable else sol.breakdown.stage + 1
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "mode", "row", "col", "P",
                          "gain_row", "gain_col", "K"])
-        for k, P_k in enumerate(sol.P):
-            if P_k is None:
-                continue
+        for k in range(first, len(sol.P)):
+            P_k = sol.P[k]
             gains = m > 0 and k <= sol.horizon
             for i in range(len(P_k)):
                 for row in range(max(n, m) if gains else n):

@@ -254,7 +254,8 @@ class TestWriteJson:
                     max_size=5), float_arrays(), st.integers(1, 40))
     def test_any_block_size_writes_the_lists(self, tmp_path_factory, runs,
                                             array, block):
-        # Runs of equal shapes share blocks; an array is cut between rows.
+        # A list of arrays is written one array at a time; an array is cut
+        # between rows.
         tmp_path = tmp_path_factory.getbasetemp()
         stack = [item for item, count in runs for _ in range(count)]
         ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
@@ -305,12 +306,15 @@ def assert_riccati_bytes(tmp_path, sol):
     assert ours.read_bytes() == ref.read_bytes()
 
 
-def hand_built_solution(P, K):
-    """A solvable two-stage solution from given (L, n, n) and (L, m, n)
-    stacks; stage 1 is the terminal stage."""
+def hand_built_solution(P, K, horizon=0):
+    """A solvable solution whose stages all hold the (L, n, n) stack ``P``
+    and the (L, m, n) stack ``K``, as views that keep their strides;
+    stage ``horizon + 1`` is the terminal stage.  The writer reads no
+    Upsilon."""
     return FiniteHorizonSolution(
-        horizon=0, P=[P, P], Upsilon=[None], M=[None], K=[K],
-        upsilon_min_eig=[None], solvable=True)
+        horizon=horizon, P=np.broadcast_to(P, (horizon + 2,) + P.shape),
+        Upsilon=None, K=np.broadcast_to(K, (horizon + 1,) + K.shape),
+        upsilon_min_eig=None, solvable=True)
 
 
 class TestRiccatiCsv:
@@ -333,7 +337,7 @@ class TestRiccatiCsv:
             initial_distribution=[0.5, 0.5], x0=[1.0, 1.0])
         sol = solve_finite(model, [np.eye(2)] * 2, 4,
                            raise_on_breakdown=False)
-        assert not sol.solvable and sol.K[4] is not None
+        assert not sol.solvable and not np.isnan(sol.K[4]).any()
         assert_riccati_bytes(tmp_path, sol)
         sol = solve_finite(scalar_model(a=1.0, b=1.0, q=0.0, r=0.0),
                            [np.zeros((1, 1))], 3, raise_on_breakdown=False)
@@ -366,15 +370,15 @@ class TestRiccatiCsv:
         # terminal stage.  A solution that broke down starts late.
         rng = np.random.default_rng(29)
         G = rng.standard_normal((5, 2, 3, 3))
-        P = [G[k] + G[k].swapaxes(1, 2) if k % 3 else G[k]
-             for k in range(5)]
-        K = list(rng.standard_normal((4, 2, 2, 3)))
+        P = np.stack([G[k] + G[k].swapaxes(1, 2) if k % 3 else G[k]
+                      for k in range(5)])
+        K = rng.standard_normal((4, 2, 2, 3))
         mixed = FiniteHorizonSolution(
-            horizon=3, P=P, Upsilon=[None] * 4, M=[None] * 4, K=K,
-            upsilon_min_eig=[None] * 4, solvable=True)
+            horizon=3, P=P, Upsilon=None, K=K, upsilon_min_eig=None,
+            solvable=True)
         broken = solve_finite(scalar_model(a=1.0, b=1.0, q=0.0, r=0.0),
                               [np.eye(1)], 6, raise_on_breakdown=False)
-        assert broken.P[0] is None and broken.P[6] is not None
+        assert broken.breakdown.stage == 5 and np.isnan(broken.P[:6]).all()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(artifacts, "BLOCK_FLOATS", block)
             assert_riccati_bytes(tmp_path, mixed)
@@ -424,24 +428,24 @@ class TestMemoryGuard:
     def test_gains_document_streams(self, tmp_path):
         rng = np.random.default_rng(19)
         K = rng.standard_normal((self.N + 1, self.L, self.m, self.n))
+        eigs = rng.uniform(0.1, 2.0, (self.N + 1, self.L))
         doc = {"gains": [[g.tolist() for g in stage] for stage in K],
-               "upsilon_min_eigenvalues": rng.uniform(
-                   0.1, 2.0, (self.N + 1, self.L)).tolist(),
+               "upsilon_min_eigenvalues": eigs.tolist(),
                "horizon": self.N, "optimal_cost": 1.0}
         # A whole-document string would peak near 10 MB.
         assert traced_peak(write_json, doc, tmp_path / "gains.json") < 1e6
-        # The command passes the per-stage arrays themselves.
-        doc["gains"] = list(K)
-        assert traced_peak(write_json, doc, tmp_path / "gains.json") < 1e6
+        # The command passes the stacks themselves; a list of arrays is
+        # written one array at a time.
+        for gains in (K, list(K)):
+            doc.update(gains=gains, upsilon_min_eigenvalues=eigs)
+            assert traced_peak(write_json, doc,
+                               tmp_path / "gains.json") < 1e6
 
     def test_riccati_csv_streams(self, tmp_path):
         rng = np.random.default_rng(23)
         G = rng.standard_normal((self.L, self.n, self.n))
         P = G + G.swapaxes(1, 2)
         K = rng.standard_normal((self.L, self.m, self.n))
-        stages = [None] * (self.N + 1)
-        sol = FiniteHorizonSolution(
-            horizon=self.N, P=[P] * (self.N + 2), Upsilon=stages, M=stages,
-            K=[K] * (self.N + 1), upsilon_min_eig=stages, solvable=True)
+        sol = hand_built_solution(P, K, horizon=self.N)
         assert traced_peak(write_riccati_csv, sol,
                            tmp_path / "riccati.csv") < 2e6

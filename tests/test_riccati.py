@@ -199,11 +199,15 @@ class TestSolveFinite:
                 assert np.allclose(sol.K[k][0], K_ref[k], atol=1e-11)
 
     def test_gain_solves_its_linear_system(self, bench):
+        # Upsilon(k) K(k) + M(k) = 0 with M(k) = B' E(P(k+1)) A per mode.
         sol = solve_finite(bench, identity_terminal(bench), 15)
+        lam = bench.transition
         for k in range(16):
             for i in range(2):
-                defect = sol.Upsilon[k][i] @ sol.K[k][i] + sol.M[k][i]
-                scale = 1.0 + np.linalg.norm(sol.M[k][i])
+                W = sum(lam[i, j] * sol.P[k + 1][j] for j in range(2))
+                M = bench.B[i].T @ W @ bench.A[i]
+                defect = sol.Upsilon[k][i] @ sol.K[k][i] + M
+                scale = 1.0 + np.linalg.norm(M)
                 assert np.linalg.norm(defect) <= 1e-11 * scale
 
 
@@ -227,16 +231,28 @@ def failure_fields(exc):
         ("stage", "mode", "eigenvalue", "kind"))
 
 
+def solution_stage(sol, k):
+    """Stage k of ``sol``: P, Upsilon, K and the smallest eigenvalues of
+    Upsilon, as :func:`step_stage` orders a step."""
+    return sol.P[k], sol.Upsilon[k], sol.K[k], sol.upsilon_min_eig[k]
+
+
+def step_stage(step):
+    """A :func:`cdre_step` result without its M."""
+    P, ups, _, K, low = step
+    return P, ups, K, low
+
+
 def assert_stages_match(sol, stages, N):
     """Every stage of ``sol`` holds the bits of the stepwise recursion, and
-    stages it did not reach are None."""
-    fields = (sol.P, sol.Upsilon, sol.M, sol.K, sol.upsilon_min_eig)
+    stages it did not reach hold NaN."""
     for k in range(N + 1):
-        for got, want in zip(fields, stages.get(k, [None] * 5)):
-            if want is None:
-                assert got[k] is None, k
-            else:
-                assert got[k].tobytes() == want.tobytes(), k
+        got = solution_stage(sol, k)
+        if k not in stages:
+            assert all(np.isnan(field).all() for field in got), k
+            continue
+        for field, want in zip(got, step_stage(stages[k])):
+            assert field.tobytes() == want.tobytes(), k
 
 
 def assert_matches_stepwise(model, terminal, N):
@@ -292,7 +308,7 @@ class TestBatchedStageChecks:
 
     def test_mid_horizon_breakdown(self):
         # Upsilon[1](k) = 0.25^(N - k) reaches the definiteness floor at
-        # stage N - 17 = 13; the entries at and below it stay None.
+        # stage N - 17 = 13; the stages at and below it hold NaN.
         model = chained_scalar_modes(0.5, 1.0)
         term = [np.eye(1)] * 2
         stages, want = stepwise_finite(model, term, self.N)
@@ -305,8 +321,29 @@ class TestBatchedStageChecks:
         assert not sol.solvable
         assert failure_fields(sol.breakdown) == failure_fields(want)
         assert_stages_match(sol, stages, self.N)
-        assert sol.P[14] is not None and sol.P[13] is None
+        assert sol.breakdown.stage == 13
+        assert np.isfinite(sol.P[14]).all() and np.isnan(sol.P[:14]).all()
         assert sol.P[self.N + 1].tobytes() == np.stack(term).tobytes()
+
+    def test_recorded_breakdown_keeps_the_stages_above_it(self, tmp_path):
+        # Stages 14..N+1 are those of a clean solve over the horizon that
+        # ends above the breakdown; only they reach riccati.csv.
+        model = chained_scalar_modes(0.5, 1.0)
+        term = [np.eye(1)] * 2
+        sol = solve_finite(model, term, self.N, raise_on_breakdown=False)
+        top = sol.breakdown.stage + 1
+        clean = solve_finite(model, term, self.N - top)
+        assert clean.solvable
+        assert sol.P[top:].tobytes() == clean.P.tobytes()
+        write_riccati_csv(sol, tmp_path / "riccati.csv")
+        text = (tmp_path / "riccati.csv").read_text()
+        assert "nan" not in text.lower()
+        stages = [int(line.split(",")[0]) for line in text.split()[1:]]
+        assert stages[0] == top and stages[-1] == self.N + 1
+        with pytest.raises(InvalidState):
+            sol.policy()
+        with pytest.raises(InvalidState):
+            optimal_cost_finite(sol, model)
 
     @pytest.mark.parametrize("a0, b1, what, stage", [
         (10.0, 1e150, "input-weight term at stage 26", 1),
@@ -386,10 +423,10 @@ class TestBatchedStageChecks:
         steps = counted_steps(monkeypatch)
         sol = solve_finite(model, [np.eye(1)], N)
         assert len(steps) < 100
-        fields = (sol.P, sol.Upsilon, sol.M, sol.K, sol.upsilon_min_eig)
         for k in (0, 1, N):
-            for got, want in zip(fields, stages[k]):
-                assert got[k].tobytes() == want.tobytes(), k
+            for got, want in zip(solution_stage(sol, k),
+                                 step_stage(stages[k])):
+                assert got.tobytes() == want.tobytes(), k
 
     # Seeds of random_model(n_max=2, m_max=2, L_max=3) whose recursion from
     # the identity ends in a cycle of period 2, 3, 8 and 12.

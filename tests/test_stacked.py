@@ -19,6 +19,7 @@ from mjls import (
     is_exactly_observable,
     is_mss,
     propagate_second_moment,
+    solve_care,
     solve_finite,
     spectral_radius,
 )
@@ -127,7 +128,8 @@ def test_breakdown_inside_the_backward_recursion_matches_literal():
         solve_finite(model, [np.eye(2)] * 2, N)
     assert (info.value.stage, info.value.mode, info.value.kind) == expected
     sol = solve_finite(model, [np.eye(2)] * 2, N, raise_on_breakdown=False)
-    assert not sol.solvable and sol.P[N] is not None and sol.P[N - 1] is None
+    assert not sol.solvable and sol.breakdown.stage == N - 1
+    assert np.isfinite(sol.P[N]).all() and np.isnan(sol.P[:N]).all()
 
 
 def test_gramian_matches_literal_loop(corpus):
@@ -257,10 +259,17 @@ class TestOverflow:
 
 def test_solutions_are_read_only_stacks(bench):
     sol = solve_finite(bench, [np.eye(2)] * 2, 3)
-    for stack in (sol.P[0], sol.Upsilon[0], sol.M[0], sol.K[0]):
-        assert stack.shape[0] == 2
+    care = solve_care(bench)
+    shapes = [(sol, "P", (5, 2, 2, 2)), (sol, "Upsilon", (4, 2, 1, 1)),
+              (sol, "K", (4, 2, 1, 2)), (sol, "upsilon_min_eig", (4, 2)),
+              (care, "P", (2, 2, 2)), (care, "Upsilon", (2, 1, 1)),
+              (care, "K", (2, 1, 2)), (care, "p_min_eig", (2,))]
+    for owner, name, shape in shapes:
+        stack = getattr(owner, name)
+        assert isinstance(stack, np.ndarray) and stack.shape == shape, name
         with pytest.raises(ValueError):
-            stack[0, 0, 0] = 1.0
+            stack[(0,) * stack.ndim] = 1.0
+    assert not hasattr(sol, "M") and not hasattr(care, "M")
     policy = sol.policy()
     assert policy.gains.shape == (4, 2, 1, 2)
     assert isinstance(Policy.stationary(sol.K[0]).gains, np.ndarray)
